@@ -47,6 +47,7 @@
 
 #include "bench/bench_common.h"
 #include "sweep/campaign.h"
+#include "sweep/serve.h"
 
 namespace {
 
@@ -230,7 +231,7 @@ benchSpecResolver()
  * Hidden worker mode: serve matrix scenarios over the campaign's
  * stdin/stdout protocol. The coordinator (the campaign passes below)
  * re-execs this binary with --serve plus the matrix dimensions, so a
- * worker builds the exact corpus the coordinator is sharding; the v2
+ * worker builds the exact corpus the coordinator is sharding; the
  * spec handshake re-resolves the same corpus from the identity line.
  */
 int
@@ -238,8 +239,7 @@ serveMain(int argc, char **argv)
 {
     int scenarios = 64;
     int runs = 100;
-    sweep::WorkerOptions opts;
-    opts.jobs = 1;
+    sweep::ServeOptions opts;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -258,8 +258,9 @@ serveMain(int argc, char **argv)
         else
             std::exit(2);
     }
-    return sweep::runWorker(opts, benchScenarioFn(scenarios, runs),
-                            benchSpecResolver());
+    sweep::StdioLineIO io;
+    return sweep::serveSession(io, opts, benchScenarioFn(scenarios, runs),
+                               benchSpecResolver());
 }
 
 /** One shard-count row of the campaign scaling curve. */
@@ -468,7 +469,7 @@ main(int argc, char **argv)
         ccfg.identity =
             "corpus=bench scenarios=" + std::to_string(scenarios) +
             " runs=" + std::to_string(runs) + " chunk=32 engine=fast";
-        // v2 workers re-resolve the corpus from this spec; the argv
+        // Workers re-resolve the corpus from this spec; the argv
         // flags below keep the handshake and the argv paths in
         // byte-for-byte agreement.
         ccfg.corpusSpec = ccfg.identity;

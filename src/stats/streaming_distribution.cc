@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace aitax::stats {
 
@@ -260,7 +261,9 @@ StreamingDistribution::deserialize(std::string_view text,
         const std::size_t n = std::char_traits<char>::length(tag);
         while (*p == ' ')
             ++p;
-        if (std::string_view(p, n) != tag)
+        // strncmp stops at the terminator; a view of n bytes would
+        // read past the end of a truncated record.
+        if (std::strncmp(p, tag, n) != 0)
             return false;
         p += n;
         return true;

@@ -113,7 +113,6 @@ struct WorkerProc
     std::unique_ptr<WorkerChannel> ch; ///< null once reaped
     std::string buf;                   ///< undecoded protocol text
     bool sawBanner = false;
-    int version = 1;
     bool awaitingSpec = false;
     bool quitSent = false;
     int chunkId = -1; ///< assigned chunk; -1 when idle
@@ -417,28 +416,15 @@ bool
 Coordinator::handleLine(WorkerProc &w, const std::string &line)
 {
     if (!w.sawBanner) {
-        if (line == kWorkerBannerV2)
-            w.version = 2;
-        else if (line == kWorkerBannerV1)
-            w.version = 1;
-        else
+        if (line != kWorkerBanner)
             return fail("worker did not identify itself: \"" + line +
                         "\"");
         w.sawBanner = true;
         if (!cfg.corpusSpec.empty()) {
-            if (w.version >= 2) {
-                w.ch->sendLine("spec " + cfg.corpusSpec);
-                w.awaitingSpec = true;
-                w.lastActivity = Clock::now();
-                return true;
-            }
-            // A v1 worker over pipes has its corpus baked into argv —
-            // the spec is redundant there. A *remote* v1 worker has no
-            // way to learn the corpus at all.
-            if (!cfg.workers.empty())
-                return fail(
-                    "remote worker speaks protocol v1; worker-side "
-                    "corpus addressing requires v2");
+            w.ch->sendLine("spec " + cfg.corpusSpec);
+            w.awaitingSpec = true;
+            w.lastActivity = Clock::now();
+            return true;
         }
         assignNext(w);
         return true;
@@ -709,10 +695,14 @@ runCampaign(const CampaignConfig &cfg)
     if (ok)
         ok = co.eventLoop();
 
-    // Drain any workers still alive after a failure path.
+    // Drain any workers still alive after a failure path. A refused
+    // or misbehaving worker need not exit on end-of-input, so force
+    // it down rather than wait on it.
     for (WorkerProc &w : co.workers) {
-        if (w.ch != nullptr)
+        if (w.ch != nullptr) {
+            w.ch->kill();
             co.reapWorker(w);
+        }
     }
     if (co.manifest != nullptr)
         std::fclose(co.manifest);

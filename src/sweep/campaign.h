@@ -10,21 +10,21 @@
  * extended across process boundaries.
  *
  * Topology and protocol (line-oriented text; newline-delimited over
- * pipes, length-delimited frames over TCP — see sweep/transport.h):
+ * pipes, length-delimited frames over TCP — see sweep/protocol.h):
  *
- *   coordinator -> worker:  "spec <identity>" (v2) | "range <b> <e>"
+ *   coordinator -> worker:  "spec <identity>" | "range <b> <e>"
  *                           | "quit"
- *   worker -> coordinator:  "aitax-sweep-worker-v2 ready"  (v1 accepted)
- *                           "spec-ok" | "spec-err <why>"   (v2)
- *                           "hb"                           (v2 liveness)
+ *   worker -> coordinator:  "aitax-sweep-worker-v2 ready"
+ *                           "spec-ok" | "spec-err <why>"
+ *                           "hb"                           (liveness)
  *                           "r <index> <e2e_mean_ms> <events>"
  *                           "done <begin> <end> <cache h m s d>"
  *
- * v2 workers address their corpus *by spec*: the coordinator sends the
+ * Workers address their corpus *by spec*: the coordinator sends the
  * campaign identity line and the worker resolves it to a ScenarioFn
- * locally (sweep/serve.h SpecResolver), so remote workers never
- * receive scenario payloads and one daemon serves many campaigns. v1
- * workers (argv-bound corpora) remain fully supported over pipes.
+ * locally (SpecResolver below), so remote workers never receive
+ * scenario payloads and one daemon serves many campaigns. A pipe
+ * worker may also be argv-bound, in which case the spec is optional.
  * Every number on the wire is formatted and parsed locale-independently
  * (stats/numfmt.h) — a comma-decimal LC_NUMERIC cannot corrupt it.
  *
@@ -78,38 +78,15 @@ struct ScenarioOutcome
 using ScenarioFn = std::function<ScenarioOutcome(int index)>;
 
 /**
- * Worker-side corpus addressing (protocol v2): resolve a campaign
- * spec line (the identity string) into a ScenarioFn, or return an
- * empty function with @p error set to refuse it ("spec-err" on the
- * wire). Must be deterministic: the same spec resolves to the same
- * corpus on every worker, or byte-identity across transports breaks.
+ * Worker-side corpus addressing: resolve a campaign spec line (the
+ * identity string) into a ScenarioFn, or return an empty function
+ * with @p error set to refuse it ("spec-err" on the wire). Must be
+ * deterministic: the same spec resolves to the same corpus on every
+ * worker, or byte-identity across transports breaks.
  */
 using SpecResolver =
     std::function<ScenarioFn(const std::string &spec,
                              std::string *error)>;
-
-struct WorkerOptions
-{
-    /** Threads for the worker's in-process SweepRunner pool. */
-    int jobs = 1;
-    /**
-     * Crash-injection hook for the resilience tests: the worker calls
-     * std::exit(7) upon *receiving* its Nth range command (1-based),
-     * losing the in-flight chunk. < 0 disables.
-     */
-    int exitAfterRanges = -1;
-    /** Wire protocol to speak: 2 (default) or 1 (strict fallback). */
-    int protocolVersion = 2;
-};
-
-/**
- * Serve sweep ranges over stdin/stdout until "quit" or EOF.
- * @param resolver optional spec-addressed corpus resolution; without
- *        it a "spec" command is acknowledged but @p fn stays bound.
- * @return process exit code (0 on a clean quit).
- */
-int runWorker(const WorkerOptions &opts, const ScenarioFn &fn,
-              const SpecResolver &resolver = {});
 
 /** Mergeable aggregate state of a campaign (or one chunk of it). */
 struct CampaignAggregate
@@ -158,12 +135,11 @@ struct CampaignConfig
      * Remote worker endpoints ("host:port"), one session per entry
      * (repeat an endpoint for several sessions against one daemon).
      * Non-empty selects the TCP transport and overrides shards /
-     * workerCmd. Remote workers must speak protocol v2 and resolve
-     * `corpusSpec` themselves.
+     * workerCmd. Remote workers resolve `corpusSpec` themselves.
      */
     std::vector<std::string> workers;
     /**
-     * Campaign spec sent to v2 workers ("spec <corpusSpec>") before
+     * Campaign spec sent to every worker ("spec <corpusSpec>") before
      * the first range; conventionally the identity string. Empty
      * skips the handshake (argv-bound corpora, pipe transport only).
      */

@@ -53,78 +53,50 @@ StdioLineIO::flush()
     std::fflush(stdout);
 }
 
-FrameLineIO::~FrameLineIO()
-{
-    if (fd_ >= 0)
-        close(fd_);
-}
+namespace {
 
-bool
-FrameLineIO::readLine(std::string &line)
+/**
+ * Protocol lines as frames (sweep/protocol.h) over a connected
+ * socket. Owns @p fd.
+ */
+class FrameLineIO final : public LineIO
 {
-    line.clear();
-    for (;;) {
-        if (raw_.size() >= 4) {
-            const std::uint32_t len =
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[0]))
-                 << 24) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[1]))
-                 << 16) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[2]))
-                 << 8) |
-                static_cast<std::uint32_t>(
-                    static_cast<unsigned char>(raw_[3]));
-            if (len > kMaxFramePayload)
-                return false; // corrupt peer: drop the session
-            if (raw_.size() >= 4 + static_cast<std::size_t>(len)) {
-                line.assign(raw_, 4, len);
-                raw_.erase(0, 4 + static_cast<std::size_t>(len));
-                return true;
-            }
-        }
-        char buf[4096];
-        const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return false;
-        raw_.append(buf, static_cast<std::size_t>(n));
-    }
-}
+  public:
+    explicit FrameLineIO(int fd) : fd_(fd) {}
+    FrameLineIO(const FrameLineIO &) = delete;
+    FrameLineIO &operator=(const FrameLineIO &) = delete;
+    ~FrameLineIO() override { close(fd_); }
 
-void
-FrameLineIO::writeLine(std::string_view line)
-{
-    if (fd_ < 0)
-        return;
-    const auto len = static_cast<std::uint32_t>(line.size());
-    char frame[4];
-    frame[0] = static_cast<char>((len >> 24) & 0xff);
-    frame[1] = static_cast<char>((len >> 16) & 0xff);
-    frame[2] = static_cast<char>((len >> 8) & 0xff);
-    frame[3] = static_cast<char>(len & 0xff);
-    std::string wire(frame, 4);
-    wire.append(line);
-    // MSG_NOSIGNAL: a vanished coordinator surfaces as EPIPE (the next
-    // readLine sees EOF), never as a fatal SIGPIPE in the worker.
-    std::size_t off = 0;
-    while (off < wire.size()) {
-        const ssize_t n = send(fd_, wire.data() + off,
-                               wire.size() - off, MSG_NOSIGNAL);
-        if (n <= 0) {
+    bool readLine(std::string &line) override
+    {
+        for (;;) {
+            const FrameDecoder::Status st = decoder_.next(line);
+            if (st != FrameDecoder::Status::NeedMore)
+                return st == FrameDecoder::Status::Frame; // Corrupt: drop
+            char buf[4096];
+            const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
             if (n < 0 && errno == EINTR)
                 continue;
-            return;
+            if (n <= 0)
+                return false;
+            decoder_.feed({buf, static_cast<std::size_t>(n)});
         }
-        off += static_cast<std::size_t>(n);
     }
-}
+
+    void writeLine(std::string_view line) override
+    {
+        // A vanished coordinator shows up as EOF on the next readLine.
+        sendFrame(fd_, line);
+    }
+
+    void flush() override {}
+
+  private:
+    int fd_;
+    FrameDecoder decoder_;
+};
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // One protocol session
@@ -134,8 +106,7 @@ int
 serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
              const SpecResolver &resolver)
 {
-    const bool v2 = opts.protocolVersion >= 2;
-    io.writeLine(v2 ? kWorkerBannerV2 : kWorkerBannerV1);
+    io.writeLine(kWorkerBanner);
     io.flush();
 
     SweepRunner pool(opts.jobs);
@@ -148,24 +119,15 @@ serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
         if (line.compare(0, 4, "spec") == 0) {
             const std::string spec =
                 line.size() > 5 ? line.substr(5) : std::string();
-            if (resolver) {
-                std::string err;
-                ScenarioFn resolved = resolver(spec, &err);
-                if (!resolved) {
-                    io.writeLine("spec-err " +
-                                 (err.empty() ? "unresolvable spec"
-                                              : err));
-                    io.flush();
-                    return 2;
-                }
-                fn = std::move(resolved);
-            } else if (!fn) {
-                io.writeLine("spec-err worker has no corpus resolver");
+            std::string err;
+            ScenarioFn resolved = resolver(spec, &err);
+            if (!resolved) {
+                io.writeLine("spec-err " +
+                             (err.empty() ? "unresolvable spec" : err));
                 io.flush();
                 return 2;
             }
-            // No resolver but an argv-bound corpus: the spec is
-            // informative (identity already fixed at exec time).
+            fn = std::move(resolved);
             io.writeLine("spec-ok");
             io.flush();
             continue;
@@ -192,12 +154,10 @@ serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
                          "(spec required)\n");
             return 2;
         }
-        // v2 liveness: acknowledge the range before running it, so the
+        // Liveness: acknowledge the range before running it, so the
         // coordinator's deadline distinguishes "working" from "hung".
-        if (v2) {
-            io.writeLine("hb");
-            io.flush();
-        }
+        io.writeLine("hb");
+        io.flush();
 
         // Stream results in sub-slices (flushed each time): byte-wise
         // identical to emitting the whole chunk at once, but a slow
@@ -241,18 +201,6 @@ serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
         last = now;
     }
     return 0;
-}
-
-int
-runWorker(const WorkerOptions &opts, const ScenarioFn &fn,
-          const SpecResolver &resolver)
-{
-    StdioLineIO io;
-    ServeOptions so;
-    so.jobs = opts.jobs;
-    so.exitAfterRanges = opts.exitAfterRanges;
-    so.protocolVersion = opts.protocolVersion;
-    return serveSession(io, so, fn, resolver);
 }
 
 // ---------------------------------------------------------------------
@@ -320,49 +268,8 @@ acceptRobust(int listenFd)
 } // namespace
 
 int
-serveTcpWorker(const std::string &bindAddr, int port,
-               const ServeOptions &opts, ScenarioFn fn,
-               const SpecResolver &resolver, int acceptLimit,
-               const std::string &portFile)
-{
-    int boundPort = port;
-    const int listenFd = listenOn(bindAddr, port, &boundPort);
-    if (listenFd < 0) {
-        std::fprintf(stderr,
-                     "sweep-serve: cannot listen on %s:%d: %s\n",
-                     bindAddr.c_str(), port, std::strerror(errno));
-        return 1;
-    }
-    std::printf("sweep-serve: listening on %s:%d\n", bindAddr.c_str(),
-                boundPort);
-    std::fflush(stdout);
-    writePortFile(portFile, boundPort);
-
-    int sessions = 0;
-    while (acceptLimit < 0 || sessions < acceptLimit) {
-        const int conn = acceptRobust(listenFd);
-        if (conn < 0)
-            break;
-        ++sessions;
-        FrameLineIO io(conn); // closes conn
-        const int rc = serveSession(io, opts, fn, resolver);
-        if (rc != 0)
-            std::fprintf(stderr,
-                         "sweep-serve: session %d ended with %d\n",
-                         sessions, rc);
-    }
-    close(listenFd);
-    return 0;
-}
-
-int
 runServeDaemon(const DaemonOptions &opts, const SpecResolver &resolver)
 {
-    if (!resolver) {
-        std::fprintf(stderr,
-                     "aitax serve: a corpus resolver is required\n");
-        return 1;
-    }
     int boundPort = opts.port;
     const int listenFd = listenOn(opts.bindAddr, opts.port, &boundPort);
     if (listenFd < 0) {

@@ -1,27 +1,25 @@
 /**
  * @file
- * Worker-side campaign protocol service: stdio sessions, socket
- * sessions, and the long-running `aitax serve` daemon.
+ * Worker-side campaign protocol service: one session over stdio or a
+ * socket, and the long-running `aitax_cli serve` daemon.
  *
- * Protocol v2 (see campaign.h for the full grammar) adds to v1:
+ * A session (see campaign.h for the full grammar):
  *
- *  - versioned banner: "aitax-sweep-worker-v2 ready". Coordinators
- *    accept v1 banners unchanged (fallback), but corpus addressing
- *    over a remote transport requires v2.
- *  - worker-side corpus addressing: "spec <text>" binds the scenario
- *    corpus *by description* (the campaign identity line), answered
- *    with "spec-ok" or "spec-err <why>". Remote workers never receive
- *    scenario payloads — they resolve (identity, chunk) locally, so a
- *    daemon can serve many different campaigns concurrently.
- *  - liveness: "hb" acknowledges each range command before the chunk
- *    runs, and result lines stream back in sub-slices, giving the
+ *  - announces the banner "aitax-sweep-worker-v2 ready";
+ *  - binds its corpus *by description*: "spec <text>" (the campaign
+ *    identity line) is resolved locally and answered with "spec-ok"
+ *    or "spec-err <why>". Remote workers never receive scenario
+ *    payloads — they resolve (identity, chunk) themselves, so a
+ *    daemon can serve many different campaigns concurrently;
+ *  - acknowledges each range command with "hb" before the chunk runs
+ *    and streams result lines back in sub-slices, giving the
  *    coordinator's hung-worker deadline something to observe.
  *
- * The daemon (`aitax serve`) forks one server process per accepted
- * connection: snapshot-cache counters, SweepRunner pools and any
- * resolved corpus state are per-campaign isolated by the process
- * boundary, and a session crash cannot take down the daemon or a
- * concurrent campaign.
+ * The daemon forks one session process per accepted connection:
+ * snapshot-cache counters, SweepRunner pools and any resolved corpus
+ * state are per-campaign isolated by the process boundary, and a
+ * session crash cannot take down the daemon or a concurrent campaign.
+ * It is the only TCP server; local workers speak over stdio pipes.
  */
 
 #ifndef AITAX_SWEEP_SERVE_H
@@ -55,60 +53,31 @@ class StdioLineIO final : public LineIO
     void flush() override;
 };
 
-/**
- * Protocol lines as length-delimited frames (4-byte big-endian
- * payload length + line bytes) over a connected socket. Owns @p fd.
- */
-class FrameLineIO final : public LineIO
-{
-  public:
-    explicit FrameLineIO(int fd) : fd_(fd) {}
-    ~FrameLineIO() override;
-    bool readLine(std::string &line) override;
-    void writeLine(std::string_view line) override;
-    void flush() override {}
-
-  private:
-    int fd_;
-    std::string raw_; ///< received, undecoded frame bytes
-};
-
 struct ServeOptions
 {
     /** Threads for the session's in-process SweepRunner pool. */
     int jobs = 1;
-    /** Crash injection (see WorkerOptions::exitAfterRanges). */
+    /**
+     * Crash-injection hook for the resilience tests: the worker calls
+     * std::exit(7) upon *receiving* its Nth range command (1-based),
+     * losing the in-flight chunk. < 0 disables.
+     */
     int exitAfterRanges = -1;
-    /** 1 emits the strict v1 wire (no hb, no spec support in the
-     *  banner); 2 is the default. The v1 fallback tests use this. */
-    int protocolVersion = 2;
 };
 
 /**
  * Serve one coordinator session over @p io until "quit" or EOF.
  *
- * @param fn corpus bound at startup (argv-addressed); may be empty if
- *        a @p resolver is supplied and the coordinator sends "spec".
- * @param resolver optional worker-side corpus addressing: maps a spec
- *        line to a ScenarioFn, or returns an empty function with
- *        *error set ("spec-err" goes back on the wire).
+ * @param fn corpus bound at startup (argv-addressed); may be empty
+ *        when the coordinator sends "spec" before its first range.
+ * @param resolver worker-side corpus addressing (required): maps a
+ *        spec line to a ScenarioFn that replaces @p fn, or returns an
+ *        empty function with *error set ("spec-err" goes back on the
+ *        wire).
  * @return process exit code (0 on clean quit / EOF).
  */
 int serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
                  const SpecResolver &resolver);
-
-/**
- * `aitax_cli sweep-serve --listen`: bind @p bindAddr:@p port (port 0
- * picks an ephemeral port), announce "sweep-serve: listening on
- * <addr>:<port>" on stdout (and into @p portFile when non-empty, port
- * number only), then serve sessions *sequentially* in-process.
- * @param acceptLimit exit after this many sessions; < 0 serves
- *        forever. @return exit code.
- */
-int serveTcpWorker(const std::string &bindAddr, int port,
-                   const ServeOptions &opts, ScenarioFn fn,
-                   const SpecResolver &resolver, int acceptLimit,
-                   const std::string &portFile);
 
 struct DaemonOptions
 {
@@ -123,11 +92,10 @@ struct DaemonOptions
 };
 
 /**
- * `aitax serve`: long-running fleet worker daemon. Accepts any number
- * of concurrent campaign connections, forking one server process per
- * connection (per-campaign isolation of snapshot-cache stats and
- * corpus state). Corpora are always spec-addressed — @p resolver is
- * mandatory. Announces "aitax-serve: listening on <addr>:<port>".
+ * `aitax_cli serve`: long-running fleet worker daemon. Accepts any
+ * number of concurrent campaign connections, forking one session
+ * process per connection. Corpora are always spec-addressed through
+ * @p resolver. Announces "aitax-serve: listening on <addr>:<port>".
  */
 int runServeDaemon(const DaemonOptions &opts,
                    const SpecResolver &resolver);

@@ -4,7 +4,6 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -206,7 +205,7 @@ class ProcessTransport final : public Transport
 };
 
 // -----------------------------------------------------------------
-// TCP transport — length-delimited frames over a connected socket.
+// TCP transport — protocol.h frames over a connected socket.
 // -----------------------------------------------------------------
 
 class TcpChannel final : public WorkerChannel
@@ -224,29 +223,9 @@ class TcpChannel final : public WorkerChannel
 
     void sendLine(std::string_view line) override
     {
-        if (fd_ < 0)
-            return;
-        const auto len = static_cast<std::uint32_t>(line.size());
-        char frame[4];
-        frame[0] = static_cast<char>((len >> 24) & 0xff);
-        frame[1] = static_cast<char>((len >> 16) & 0xff);
-        frame[2] = static_cast<char>((len >> 8) & 0xff);
-        frame[3] = static_cast<char>(len & 0xff);
-        std::string wire(frame, 4);
-        wire.append(line);
-        // MSG_NOSIGNAL: a dead peer must surface as EPIPE (ignored;
-        // the read side reports the loss), never as a fatal SIGPIPE.
-        std::size_t off = 0;
-        while (off < wire.size()) {
-            const ssize_t n = send(fd_, wire.data() + off,
-                                   wire.size() - off, MSG_NOSIGNAL);
-            if (n <= 0) {
-                if (n < 0 && errno == EINTR)
-                    continue;
-                break;
-            }
-            off += static_cast<std::size_t>(n);
-        }
+        // Best-effort, like the pipe: the read side reports the loss.
+        if (fd_ >= 0)
+            sendFrame(fd_, line);
     }
 
     void closeSend() override
@@ -263,33 +242,21 @@ class TcpChannel final : public WorkerChannel
             return errno == EINTR ? -1 : 0;
         if (n == 0)
             return 0;
-        raw_.append(buf, static_cast<std::size_t>(n));
-        // Decode every complete frame into a newline-terminated line
-        // so the coordinator's parser sees pipe-identical bytes.
+        decoder_.feed({buf, static_cast<std::size_t>(n)});
+        // Each frame becomes a newline-terminated line so the
+        // coordinator's parser sees pipe-identical bytes.
         int produced = 0;
-        while (raw_.size() >= 4) {
-            const std::uint32_t len =
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[0]))
-                 << 24) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[1]))
-                 << 16) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[2]))
-                 << 8) |
-                static_cast<std::uint32_t>(
-                    static_cast<unsigned char>(raw_[3]));
-            if (len > kMaxFramePayload)
+        std::string line;
+        for (;;) {
+            const FrameDecoder::Status st = decoder_.next(line);
+            if (st == FrameDecoder::Status::Corrupt)
                 return 0; // corrupt peer: treat as lost
-            if (raw_.size() < 4 + static_cast<std::size_t>(len))
-                break;
-            out.append(raw_, 4, len);
+            if (st == FrameDecoder::Status::NeedMore)
+                return produced > 0 ? produced : -1;
+            out += line;
             out += '\n';
-            produced += static_cast<int>(len) + 1;
-            raw_.erase(0, 4 + static_cast<std::size_t>(len));
+            produced += static_cast<int>(line.size()) + 1;
         }
-        return produced > 0 ? produced : -1;
     }
 
     void kill() override
@@ -316,7 +283,7 @@ class TcpChannel final : public WorkerChannel
 
   private:
     int fd_;
-    std::string raw_; ///< undecoded frame bytes
+    FrameDecoder decoder_;
 };
 
 /** Connect to "host:port"; -1 on failure. */

@@ -13,14 +13,13 @@
  *    or any wait error counts as *unclean* so the in-flight chunk is
  *    re-dispatched rather than silently dropped).
  *
- *  - makeTcpTransport: connect to `host:port` worker endpoints
- *    (`aitax_cli sweep-serve --listen` or the `aitax serve` daemon).
- *    The wire format is length-delimited frames — a 4-byte big-endian
- *    payload length followed by one protocol line without its '\n' —
- *    decoded back into newline-terminated lines on receipt, so the
- *    coordinator's line parser is transport-agnostic. kill() and
- *    closeSend() map to closing / shutting down the socket; a "respawn"
- *    is a fresh connection (a daemon serves each one in a fresh forked
+ *  - makeTcpTransport: connect to `host:port` endpoints served by the
+ *    `aitax_cli serve` daemon. Each protocol line travels as one
+ *    length-delimited frame (sweep/protocol.h) and is decoded back
+ *    into a newline-terminated line on receipt, so the coordinator's
+ *    line parser is transport-agnostic. kill() and closeSend() map to
+ *    closing / shutting down the socket; a "respawn" is a fresh
+ *    connection (the daemon serves each one in a fresh forked
  *    session, which is what makes crash re-dispatch byte-identical to
  *    the local case).
  *

@@ -7,11 +7,11 @@
  * determinism contract:
  *
  *  1. Byte-identity across transports: the same campaign run over
- *     fork/exec pipes and over loopback TCP (against both standalone
- *     `sweep-serve --listen` workers and the multi-campaign
- *     `aitax_cli serve` daemon) produces a byte-identical
- *     deterministic report, including the 256-scenario differential
- *     the issue names.
+ *     fork/exec pipes and over loopback TCP against the
+ *     multi-campaign `aitax_cli serve` daemon produces a
+ *     byte-identical deterministic report, including the 256-scenario
+ *     differential. Workers resolve their corpus from the campaign
+ *     spec, and a peer without the worker banner is refused.
  *
  *  2. Manifest crash-consistency: records are fsync'd one line at a
  *     time, so a kill can tear at most the final line. Resuming from
@@ -171,58 +171,38 @@ struct ChildGuard
 };
 
 // ---------------------------------------------------------------
-// 1. Transports: pipe vs TCP byte-identity, spec addressing, v1.
+// 1. Transports: pipe vs TCP byte-identity, spec addressing.
 // ---------------------------------------------------------------
 
-TEST(Transport, V1FallbackIsByteIdentical)
+TEST(Transport, WorkersResolveCorpusFromSpec)
 {
-    auto v2 = pipeConfig(24, 4, 2, 1, 77);
-    const std::string base = mustRun(v2);
+    const std::string base = mustRun(pipeConfig(24, 4, 2, 1, 77));
     ASSERT_FALSE(base.empty());
 
-    auto v1 = v2;
-    v1.workerCmd.push_back("--protocol");
-    v1.workerCmd.push_back("v1");
-    EXPECT_EQ(mustRun(v1), base);
+    // Workers whose argv seed DISAGREES with the campaign: only the
+    // spec handshake can make the bytes match, so a match proves
+    // worker-side corpus addressing is load-bearing.
+    auto cfg = pipeConfig(24, 4, 2, 1, 77);
+    cfg.workerCmd = pipeConfig(24, 4, 2, 1, 123456).workerCmd;
+    EXPECT_EQ(mustRun(cfg), base);
 }
 
-TEST(Transport, TcpWorkersResolveCorpusFromSpec)
+TEST(Transport, OldProtocolBannerIsRefused)
 {
-    auto pipe_cfg = pipeConfig(24, 4, 2, 1, 77);
-    const std::string base = mustRun(pipe_cfg);
-    ASSERT_FALSE(base.empty());
-
-    // Standalone TCP workers whose argv seed DISAGREES with the
-    // campaign: only the spec handshake can make the bytes match, so
-    // a match proves worker-side corpus addressing is load-bearing.
-    std::vector<std::string> endpoints;
-    ChildGuard g[2];
-    for (int i = 0; i < 2; ++i) {
-        const std::string portFile = testing::TempDir() +
-                                     "aitax_tcp_worker_" +
-                                     std::to_string(i) + ".port";
-        std::remove(portFile.c_str());
-        g[i].pid = spawnCli({"sweep-serve", "--seed", "123456",
-                             "--jobs", "1", "--listen", "0",
-                             "--accept", "1", "--port-file",
-                             portFile});
-        const int port = awaitPort(portFile);
-        ASSERT_GT(port, 0) << "worker " << i << " never bound";
-        endpoints.push_back("127.0.0.1:" + std::to_string(port));
-        std::remove(portFile.c_str());
-    }
-
-    auto tcp_cfg = pipe_cfg;
-    tcp_cfg.workerCmd.clear();
-    tcp_cfg.workers = endpoints;
-    tcp_cfg.workerDeadlineSeconds = 30.0;
-    sweep::CampaignSummary sum;
-    EXPECT_EQ(mustRun(tcp_cfg, &sum), base);
-    EXPECT_EQ(sum.transport, "tcp");
-    for (auto &c : g) {
-        reapChild(c.pid, /*expectClean=*/true);
-        c.disarm();
-    }
+    // A worker from before the spec handshake opens with the v1
+    // banner. It must be refused outright; the short deadline turns
+    // a coordinator that accepts it and then waits into a failure
+    // instead of a hang.
+    auto cfg = pipeConfig(8, 4, 1, 1, 77);
+    cfg.workerCmd = {"/bin/sh", "-c",
+                     "printf 'aitax-sweep-worker-v1 ready\\n'; "
+                     "exec sleep 30"};
+    cfg.workerDeadlineSeconds = 0.5;
+    const auto sum = sweep::runCampaign(cfg);
+    EXPECT_EQ(sum.status, sweep::CampaignStatus::Error);
+    EXPECT_NE(sum.error.find("aitax-sweep-worker-v1 ready"),
+              std::string::npos)
+        << sum.error;
 }
 
 TEST(Transport, TcpRequiresCorpusSpec)
@@ -245,6 +225,20 @@ TEST(Transport, WorkerRejectsForeignSpec)
     EXPECT_NE(sum.error.find("rejected campaign spec"),
               std::string::npos)
         << sum.error;
+}
+
+TEST(Transport, ServeRejectsInvalidListenPort)
+{
+    // Out-of-range and non-numeric ports are usage errors (exit 2)
+    // before any socket is bound, never a truncated or ephemeral port.
+    for (const char *port : {"70000", "abc"}) {
+        const pid_t pid =
+            spawnCli({"serve", "--listen", port, "--accept", "0"});
+        int status = 0;
+        ASSERT_EQ(waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+            << "--listen " << port << ": status " << status;
+    }
 }
 
 TEST(Transport, DaemonServesConcurrentCampaignsInIsolation)
@@ -410,8 +404,9 @@ TEST(ManifestCrash, TerminatedMalformedLineHardFails)
 // ---------------------------------------------------------------
 
 /**
- * A worker stub that misbehaves once, then (on respawn) execs the
- * real worker. The flag file records that the first life happened.
+ * A worker stub that completes the banner + spec handshake and then
+ * misbehaves once; on respawn it execs the real worker. The flag file
+ * records that the first life happened.
  */
 sweep::CampaignConfig
 stubConfig(const std::string &misbehaveScript, const std::string &tag)
@@ -423,6 +418,8 @@ stubConfig(const std::string &misbehaveScript, const std::string &tag)
     const std::string script =
         "if [ -e " + flag + " ]; then exec " + AITAX_CLI_PATH +
         " sweep-serve --seed 77 --jobs 1; fi; touch " + flag + "; " +
+        "printf 'aitax-sweep-worker-v2 ready\\n'; read line; "
+        "printf 'spec-ok\\n'; " +
         misbehaveScript;
     cfg.workerCmd = {"/bin/sh", "-c", script};
     return cfg;
@@ -433,13 +430,12 @@ TEST(WorkerLoss, PartialResultLineIsDiscardedWithItsChunk)
     const std::string base = mustRun(pipeConfig(8, 2, 1, 1, 77));
     ASSERT_FALSE(base.empty());
 
-    // First life: speak v1, accept one range, stream one whole bogus
-    // result line plus HALF of a second one, then die. The torn
+    // First life: accept one range, stream one whole bogus result
+    // line plus HALF of a second one, then die. The torn
     // bytes sit in the coordinator's buffer at EOF and must be
     // discarded with the reclaimed chunk — any survival corrupts the
     // resumed bytes and fails the comparison below.
-    auto cfg = stubConfig("printf 'aitax-sweep-worker-v1 ready\\n'; "
-                          "read line; "
+    auto cfg = stubConfig("read line; "
                           "printf 'r 0 999.5 42\\nr 1 123.'; "
                           "exit 1",
                           "partial");
@@ -454,11 +450,9 @@ TEST(WorkerLoss, HungWorkerIsKilledByDeadline)
     const std::string base = mustRun(pipeConfig(8, 2, 1, 1, 77));
     ASSERT_FALSE(base.empty());
 
-    // First life: identify, take a range, then hang without closing
-    // the pipe. Only the liveness deadline can recover this.
-    auto cfg = stubConfig("printf 'aitax-sweep-worker-v1 ready\\n'; "
-                          "read line; exec sleep 300",
-                          "hung");
+    // First life: take a range, then hang without closing the pipe.
+    // Only the liveness deadline can recover this.
+    auto cfg = stubConfig("read line; exec sleep 300", "hung");
     cfg.workerDeadlineSeconds = 0.5;
     sweep::CampaignSummary sum;
     EXPECT_EQ(mustRun(cfg, &sum), base);

@@ -70,27 +70,25 @@
  *                            session per endpoint; repeat an endpoint
  *                            for several sessions on one daemon).
  *                            Workers resolve the corpus from the
- *                            campaign spec — protocol v2 required.
+ *                            campaign spec.
  *     --worker-deadline <s>  kill + re-dispatch a worker with no
  *                            protocol activity for s seconds
  *
  *   aitax_cli sweep-serve [--seed N] [--jobs N] [--faults]
  *             [--engine fast|reference] [--exit-after N]
- *             [--protocol v1|v2] [--listen PORT] [--bind ADDR]
- *             [--accept N] [--port-file FILE]
- *                                     worker: serve scenario ranges
- *                                     over stdin/stdout, or (--listen)
- *                                     over TCP, sessions served
- *                                     sequentially in-process
+ *                                     local worker: serve scenario
+ *                                     ranges over stdin/stdout (the
+ *                                     coordinator's pipe transport)
  *
  *   aitax_cli serve [--listen PORT] [--bind ADDR] [--jobs N]
  *             [--accept N] [--port-file FILE]
- *                                     fleet worker daemon: accepts any
- *                                     number of concurrent campaigns,
- *                                     one forked session per
- *                                     connection (per-campaign
- *                                     isolation); corpora are resolved
- *                                     from each campaign's spec
+ *                                     fleet worker daemon, the only
+ *                                     TCP server: accepts any number
+ *                                     of concurrent campaigns, one
+ *                                     forked session per connection
+ *                                     (per-campaign isolation);
+ *                                     corpora are resolved from each
+ *                                     campaign's spec
  */
 
 #include <cstdio>
@@ -105,6 +103,7 @@
 #include "soc/chipsets.h"
 #include <fstream>
 
+#include "stats/numfmt.h"
 #include "sweep/campaign.h"
 #include "sweep/serve.h"
 #include "sweep/snapshot_cache.h"
@@ -363,9 +362,7 @@ campaignUsage()
                  "[--stop-after-chunks N] [--kill-worker-after N] "
                  "[--workers host:port,...] [--worker-deadline SEC]\n"
                  "       aitax_cli sweep-serve [--seed N] [--jobs N] "
-                 "[--faults] [--engine fast|reference] [--exit-after N] "
-                 "[--protocol v1|v2] [--listen PORT] [--bind ADDR] "
-                 "[--accept N] [--port-file FILE]\n"
+                 "[--faults] [--engine fast|reference] [--exit-after N]\n"
                  "       aitax_cli serve [--listen PORT] [--bind ADDR] "
                  "[--jobs N] [--accept N] [--port-file FILE]\n");
     std::exit(2);
@@ -441,18 +438,14 @@ fuzzSpecResolver()
     };
 }
 
-/** Worker mode: serve scenario ranges over stdin/stdout or TCP. */
+/** Worker mode: serve scenario ranges over stdin/stdout. */
 int
 sweepServeMain(int argc, char **argv)
 {
     std::uint64_t master_seed = 2021;
     bool faults = false;
     sim::EngineMode engine = sim::EngineMode::Fast;
-    sweep::WorkerOptions opts;
-    int listen_port = -1;
-    std::string bind_addr = "127.0.0.1";
-    int accept_limit = -1;
-    std::string port_file;
+    sweep::ServeOptions opts;
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -469,23 +462,7 @@ sweepServeMain(int argc, char **argv)
             faults = true;
         else if (arg == "--exit-after")
             opts.exitAfterRanges = std::atoi(next());
-        else if (arg == "--listen")
-            listen_port = std::atoi(next());
-        else if (arg == "--bind")
-            bind_addr = next();
-        else if (arg == "--accept")
-            accept_limit = std::atoi(next());
-        else if (arg == "--port-file")
-            port_file = next();
-        else if (arg == "--protocol") {
-            const std::string which = next();
-            if (which == "v1")
-                opts.protocolVersion = 1;
-            else if (which == "v2")
-                opts.protocolVersion = 2;
-            else
-                campaignUsage();
-        } else if (arg == "--engine") {
+        else if (arg == "--engine") {
             const std::string which = next();
             if (which == "fast")
                 engine = sim::EngineMode::Fast;
@@ -498,19 +475,10 @@ sweepServeMain(int argc, char **argv)
     }
     if (opts.jobs <= 0)
         opts.jobs = 1;
-    if (listen_port >= 0) {
-        sweep::ServeOptions so;
-        so.jobs = opts.jobs;
-        so.exitAfterRanges = opts.exitAfterRanges;
-        so.protocolVersion = opts.protocolVersion;
-        return sweep::serveTcpWorker(
-            bind_addr, listen_port, so,
-            fuzzScenarioFn(master_seed, faults, engine),
-            fuzzSpecResolver(), accept_limit, port_file);
-    }
-    return sweep::runWorker(opts,
-                            fuzzScenarioFn(master_seed, faults, engine),
-                            fuzzSpecResolver());
+    sweep::StdioLineIO io;
+    return sweep::serveSession(io, opts,
+                               fuzzScenarioFn(master_seed, faults, engine),
+                               fuzzSpecResolver());
 }
 
 /** Fleet worker daemon: `aitax_cli serve`. */
@@ -526,9 +494,14 @@ serveMain(int argc, char **argv)
                 campaignUsage();
             return argv[++i];
         };
-        if (arg == "--listen")
-            opts.port = std::atoi(next());
-        else if (arg == "--bind")
+        if (arg == "--listen") {
+            // A port the socket cannot hold is a usage error, never a
+            // silently truncated or ephemeral bind.
+            const char *p = next();
+            if (!stats::parseInt(p, opts.port) || *p != '\0' ||
+                opts.port < 0 || opts.port > 65535)
+                campaignUsage();
+        } else if (arg == "--bind")
             opts.bindAddr = next();
         else if (arg == "--jobs")
             opts.jobs = std::atoi(next());
@@ -541,8 +514,6 @@ serveMain(int argc, char **argv)
     }
     if (opts.jobs <= 0)
         opts.jobs = 1;
-    if (opts.port < 0)
-        campaignUsage();
     return sweep::runServeDaemon(opts, fuzzSpecResolver());
 }
 
@@ -625,8 +596,8 @@ campaignMain(int argc, char **argv)
                    " chunk=" + std::to_string(cfg.chunk) +
                    " faults=" + (faults ? "1" : "0") +
                    " engine=" + engine;
-    // Workers resolve the corpus from the spec (protocol v2); keeping
-    // the argv flags too means a v1 worker over pipes still works.
+    // Workers resolve the corpus from the spec; the argv flags bind
+    // the same corpus up front.
     cfg.corpusSpec = cfg.identity;
     cfg.workerCmd = {sweep::selfExecutablePath(argv[0]),
                      "sweep-serve",
