@@ -345,7 +345,8 @@ verifyScenario(const Scenario &s, sim::EngineMode engine)
 
     // I4: contrast against the other side of the load axis. Skipped
     // under faults: the injected schedule differs across variants, so
-    // the monotonicity premise does not hold.
+    // the monotonicity premise does not hold. The contrast run is read
+    // only for its report, so it skips the trace.
     if (!s.faults) {
         Scenario contrast = s;
         const bool has_load =
@@ -353,13 +354,15 @@ verifyScenario(const Scenario &s, sim::EngineMode engine)
         if (has_load) {
             contrast.dspLoadProcesses = 0;
             contrast.cpuLoadProcesses = 0;
-            const ScenarioResult unloaded = runScenario(contrast, engine);
+            const ScenarioResult unloaded = runScenario(
+                contrast, engine, ResultRequest::ReportOnly);
             report.add(
                 checkBackgroundMonotonic(unloaded.report, base.report));
         } else {
             contrast.dspLoadProcesses = 2;
             contrast.cpuLoadProcesses = 1;
-            const ScenarioResult loaded = runScenario(contrast, engine);
+            const ScenarioResult loaded = runScenario(
+                contrast, engine, ResultRequest::ReportOnly);
             report.add(
                 checkBackgroundMonotonic(base.report, loaded.report));
         }

@@ -222,10 +222,13 @@ buildLoops(sim::Arena &arena, soc::SocSystem &sys, const Scenario &s)
     return loops;
 }
 
-/** Everything after quiescence: witnesses, meters, the trace. */
+/**
+ * Everything after quiescence: witnesses, meters and, for a Full
+ * request, the trace.
+ */
 void
 collectResult(soc::SocSystem &sys, app::Application &application,
-              ScenarioResult &out)
+              ResultRequest request, ScenarioResult &out)
 {
     out.rpcLog = application.rpcLog();
     out.frameLog = application.frameLog();
@@ -234,6 +237,8 @@ collectResult(soc::SocSystem &sys, app::Application &application,
     out.energyMj = sys.energy().totalMj();
     out.thermalSpeedFactor = sys.thermal().speedFactor();
     out.eventsExecuted = sys.simulator().eventsExecuted();
+    if (request == ResultRequest::ReportOnly)
+        return;
     std::ostringstream trace;
     trace::writeChromeTrace(trace, sys.tracer());
     out.chromeTraceJson = trace.str();
@@ -268,7 +273,8 @@ snapshotUsable(const faults::FaultInjector *inj,
  * same post-warm-up schedule a cache-free run would produce.
  */
 ScenarioResult
-runScenarioMemoized(const Scenario &s, sim::Arena &arena)
+runScenarioMemoized(const Scenario &s, ResultRequest request,
+                    sim::Arena &arena)
 {
     const std::string key = snapshotKey(s);
     auto cached = std::static_pointer_cast<const soc::WarmupSnapshot>(
@@ -308,7 +314,7 @@ runScenarioMemoized(const Scenario &s, sim::Arena &arena)
                                                   loop->stop();
                                           });
     out.endTimeNs = sys.run();
-    collectResult(sys, application, out);
+    collectResult(sys, application, request, out);
     for (const auto *loop : loops)
         out.backgroundInferences += loop->completedInferences();
     return out;
@@ -325,7 +331,7 @@ runScenarioMemoized(const Scenario &s, sim::Arena &arena)
  */
 ScenarioResult
 runScenarioDirect(const Scenario &s, sim::EngineMode engine,
-                  sim::Arena &arena)
+                  ResultRequest request, sim::Arena &arena)
 {
     soc::SocSystem &sys = *arena.create<soc::SocSystem>(
         soc::platformByName(s.socName), s.seed, engine, &arena);
@@ -358,7 +364,7 @@ runScenarioDirect(const Scenario &s, sim::EngineMode engine,
     }
     out.endTimeNs = sys.run();
 
-    collectResult(sys, application, out);
+    collectResult(sys, application, request, out);
     for (const auto *loop : loops)
         out.backgroundInferences += loop->completedInferences();
     return out;
@@ -367,7 +373,8 @@ runScenarioDirect(const Scenario &s, sim::EngineMode engine,
 } // namespace
 
 ScenarioResult
-runScenario(const Scenario &s, sim::EngineMode engine)
+runScenario(const Scenario &s, sim::EngineMode engine,
+            ResultRequest request)
 {
     assert(scenarioValid(s));
     // All run state lives in the thread's arena; the guard resets it
@@ -377,8 +384,8 @@ runScenario(const Scenario &s, sim::EngineMode engine)
     sim::ArenaResetGuard guard(arena);
     if (engine == sim::EngineMode::Fast &&
         classifySnapshotUse(s) == SnapshotUse::Eligible)
-        return runScenarioMemoized(s, arena);
-    return runScenarioDirect(s, engine, arena);
+        return runScenarioMemoized(s, request, arena);
+    return runScenarioDirect(s, engine, request, arena);
 }
 
 ScenarioResult

@@ -85,7 +85,10 @@ struct ScenarioResult
 {
     core::TaxReport report;
     std::vector<soc::FastRpcBreakdown> rpcLog;
-    /** Full chrome://tracing JSON of the run (determinism witness). */
+    /**
+     * Full chrome://tracing JSON of the run (determinism witness).
+     * Empty when the run was requested ResultRequest::ReportOnly.
+     */
     std::string chromeTraceJson;
     /** Simulated time at quiescence. */
     sim::TimeNs endTimeNs = 0;
@@ -136,9 +139,22 @@ SnapshotUse classifySnapshotUse(const Scenario &s);
 std::string snapshotKey(const Scenario &s);
 
 /**
+ * What a caller will read of a ScenarioResult. The simulation is the
+ * same either way — tracer recording, warm-up snapshots, witnesses,
+ * meters and event counts are untouched — only the Chrome trace
+ * serialization, the costliest part of result collection, is skipped.
+ */
+enum class ResultRequest
+{
+    Full,       ///< every field, including chromeTraceJson
+    ReportOnly, ///< every field except chromeTraceJson, left empty
+};
+
+/**
  * Execute one scenario: build the platform, run the pipeline with any
  * configured background load, and collect the report plus witnesses.
- * Runs the Fast engine with warm-up memoization where eligible.
+ * Runs the Fast engine with warm-up memoization where eligible and
+ * returns the full result, trace included.
  */
 ScenarioResult runScenario(const Scenario &s);
 
@@ -146,8 +162,11 @@ ScenarioResult runScenario(const Scenario &s);
  * Engine-explicit variant, the differential-test hook: Reference runs
  * the heap-only loop with no memoization; Fast runs the skip-ahead
  * engine with the snapshot cache. Both produce byte-identical results.
+ * With @p request ReportOnly the result's chromeTraceJson is empty and
+ * every other field equals the Full result's.
  */
-ScenarioResult runScenario(const Scenario &s, sim::EngineMode engine);
+ScenarioResult runScenario(const Scenario &s, sim::EngineMode engine,
+                           ResultRequest request = ResultRequest::Full);
 
 /**
  * The calling thread's scenario arena: runScenario() bump-allocates

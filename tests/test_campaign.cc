@@ -13,10 +13,14 @@
  * Campaigns here drive the real aitax_cli `sweep-serve` worker over
  * the real fork/exec pipe protocol (AITAX_CLI_PATH is baked in by the
  * build), so what this suite passes is what production campaigns run.
+ * Its report is also pinned to an in-process fold of full
+ * verify::runScenario results, which the workers' report-only runs
+ * must reproduce.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "stats/distribution.h"
 #include "stats/streaming_distribution.h"
 #include "sweep/campaign.h"
+#include "verify/scenario.h"
 
 namespace aitax {
 namespace {
@@ -232,6 +237,30 @@ TEST(Campaign, AggregateByteIdenticalAcrossShardAndJobSplits)
             EXPECT_EQ(sum.chunksRun, kScenarios / kChunk);
         }
     }
+}
+
+/**
+ * Workers run each scenario report-only. Their report must equal the
+ * one folded in-process from full runScenario results, merged in chunk
+ * order as the coordinator merges, so skipping the trace changes no
+ * aggregated byte.
+ */
+TEST(Campaign, WorkerReportEqualsInProcessFullRuns)
+{
+    sweep::CampaignAggregate total;
+    for (int b = 0; b < kScenarios; b += kChunk) {
+        sweep::CampaignAggregate chunk;
+        for (int i = b; i < std::min(kScenarios, b + kChunk); ++i) {
+            const verify::ScenarioResult r = verify::runScenario(
+                verify::fuzzScenario(kSeed, i), sim::EngineMode::Fast,
+                verify::ResultRequest::Full);
+            ASSERT_FALSE(r.chromeTraceJson.empty());
+            chunk.addScenario({r.report.endToEndMeanMs(), r.eventsExecuted});
+        }
+        total.merge(chunk);
+    }
+    EXPECT_EQ(sweep::campaignReportJson(campaignConfig(1, 1).identity, total),
+              baselineReport());
 }
 
 TEST(Campaign, WorkerCrashIsReDispatchedByteExactly)

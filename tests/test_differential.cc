@@ -6,6 +6,9 @@
  * observable relative to the Reference engine — not a trace byte, not
  * a CSV cell, not a fault tally — across a seeded corpus covering
  * every Table II chipset, faults on and off, and any worker count.
+ * The same corpus pins ResultRequest::ReportOnly to the full result:
+ * equal in every field but the trace, which it leaves empty, on both
+ * engines, with faults armed, and on snapshot misses and hits.
  *
  * Also the negative side of the memoization contract: scenarios that
  * share a warm-up prefix but diverge in streaming, faults or
@@ -81,12 +84,12 @@ differentialCorpus(bool faults)
 }
 
 /**
- * Serialize everything a scenario produces into one comparable byte
- * string: the TaxReport CSV, the scalar witnesses, every FastRPC
- * breakdown field, every fault tally, and the full Chrome trace.
+ * Serialize everything a scenario produces except the Chrome trace
+ * into one comparable byte string: the TaxReport CSV, the scalar
+ * witnesses, every FastRPC breakdown field and every fault tally.
  */
 std::string
-resultBytes(const ScenarioResult &r)
+reportBytes(const ScenarioResult &r)
 {
     std::ostringstream os;
     os.precision(17);
@@ -113,26 +116,70 @@ resultBytes(const ScenarioResult &r)
     for (const auto &fb : fs.fallbacks)
         os << ";" << static_cast<int>(fb.from) << ">"
            << static_cast<int>(fb.to) << "@" << fb.when;
-    os << "|trace=" << r.chromeTraceJson;
     return os.str();
 }
 
+/** reportBytes() plus the full Chrome trace. */
+std::string
+resultBytes(const ScenarioResult &r)
+{
+    return reportBytes(r) + "|trace=" + r.chromeTraceJson;
+}
+
+/**
+ * Run @p s with ResultRequest::ReportOnly and expect the result @p full
+ * minus its trace: every reportBytes() field and the event count
+ * equal, the trace empty.
+ */
+void
+expectReportOnlyParity(const Scenario &s, sim::EngineMode engine,
+                       const ScenarioResult &full)
+{
+    const ScenarioResult lean =
+        runScenario(s, engine, ResultRequest::ReportOnly);
+    EXPECT_TRUE(lean.chromeTraceJson.empty()) << s.describe();
+    EXPECT_EQ(reportBytes(lean), reportBytes(full)) << s.describe();
+    EXPECT_EQ(lean.eventsExecuted, full.eventsExecuted) << s.describe();
+}
+
+/** Every this many corpus rows, also ask Reference for a report-only run. */
+constexpr std::size_t kReferenceReportOnlyStride = 8;
+
+/**
+ * Reference vs Fast over the corpus. The full Fast run is each
+ * snapshot key's first, so the trace it byte-compares is the capture
+ * (miss) path's. A second pass over a cleared cache then asks Fast for
+ * report-only results, now the misses; app-mode rows take the direct
+ * path. Every kReferenceReportOnlyStride-th row also checks Reference
+ * report-only.
+ */
 void
 expectCorpusIdentical(bool faults)
 {
     sweep::snapshotCacheClearForTest();
     const auto corpus = differentialCorpus(faults);
+    std::vector<ScenarioResult> reference;
+    reference.reserve(corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         const Scenario &s = corpus[i];
-        const std::string ref =
-            resultBytes(runScenario(s, sim::EngineMode::Reference));
+        reference.push_back(runScenario(s, sim::EngineMode::Reference));
         const std::string fast =
             resultBytes(runScenario(s, sim::EngineMode::Fast));
-        ASSERT_EQ(ref, fast)
+        ASSERT_EQ(resultBytes(reference[i]), fast)
             << "engine divergence at corpus index " << i << ": "
             << s.describe() << "\nreplay: " << replayCommand(kMasterSeed,
                                                             static_cast<int>(i));
+        if (i % kReferenceReportOnlyStride == 0)
+            expectReportOnlyParity(s, sim::EngineMode::Reference,
+                                   reference[i]);
     }
+
+    sweep::snapshotCacheClearForTest();
+    for (std::size_t i = 0; i < corpus.size(); ++i)
+        expectReportOnlyParity(corpus[i], sim::EngineMode::Fast, reference[i]);
+    // Only a Fast miss stores, and the cache was cleared before the
+    // report-only pass: stores prove report-only misses ran.
+    EXPECT_GT(sweep::snapshotCacheStatsNow().stores, 0u);
 }
 
 TEST(Differential, ReferenceVsFastFaultsOff)
@@ -162,18 +209,20 @@ TEST(Differential, SnapshotHitsReplayByteIdentical)
     // empty slice would silently gut this test.
     ASSERT_GE(eligible.size(), 8u);
 
-    std::vector<std::string> reference;
+    std::vector<ScenarioResult> reference;
     reference.reserve(eligible.size());
     for (const Scenario &s : eligible)
-        reference.push_back(
-            resultBytes(runScenario(s, sim::EngineMode::Reference)));
+        reference.push_back(runScenario(s, sim::EngineMode::Reference));
 
     for (int pass = 0; pass < 2; ++pass) {
         for (std::size_t i = 0; i < eligible.size(); ++i) {
-            ASSERT_EQ(reference[i],
+            ASSERT_EQ(resultBytes(reference[i]),
                       resultBytes(runScenario(eligible[i],
                                               sim::EngineMode::Fast)))
                 << "pass " << pass << ", " << eligible[i].describe();
+            // A hit on both passes: the full run above stored the key.
+            expectReportOnlyParity(eligible[i], sim::EngineMode::Fast,
+                                   reference[i]);
         }
     }
     const auto stats = sweep::snapshotCacheStatsNow();
