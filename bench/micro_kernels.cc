@@ -521,6 +521,50 @@ BM_ChromeTraceSerialize(benchmark::State &state)
 BENCHMARK(BM_ChromeTraceSerialize)->Arg(100'000);
 
 void
+BM_ChromeTraceSerializeTimeline(benchmark::State &state)
+{
+    // Shaped like a 100-frame app trace: a multi-second timeline (so
+    // timestamps reach the %g exponent form, "1.23457e+06"), plain
+    // task labels, and a context switch or migration after every
+    // third interval.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    sim::RandomStream rng(33);
+    trace::Tracer t;
+    std::vector<trace::TrackId> tracks;
+    for (int i = 0; i < 8; ++i)
+        tracks.push_back(t.internTrack("cpu" + std::to_string(i)));
+    std::vector<trace::LabelId> labels;
+    for (int i = 0; i < 24; ++i)
+        labels.push_back(t.internLabel("camera_app:stage_" +
+                                       std::to_string(i)));
+    const trace::EventKindId kinds[2] = {
+        t.internEventKind("context_switch"),
+        t.internEventKind("migration")};
+    sim::TimeNs now = 0;
+    std::size_t events = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto label = labels[static_cast<std::size_t>(
+            rng.uniformInt(0, 23))];
+        now += rng.uniformInt(1'000, 60'000);
+        t.recordInterval(tracks[static_cast<std::size_t>(
+                             rng.uniformInt(0, 7))],
+                         label, now, now + rng.uniformInt(0, 400'000));
+        if (i % 3 == 0) {
+            t.recordEvent(kinds[rng.uniformInt(0, 1)], label, now);
+            ++events;
+        }
+    }
+    for (auto _ : state) {
+        const auto json = trace::chromeTraceString(t);
+        benchmark::DoNotOptimize(json.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n + events));
+}
+BENCHMARK(BM_ChromeTraceSerializeTimeline)->Arg(100'000);
+
+void
 BM_TracerUtilization(benchmark::State &state)
 {
     const std::size_t n = 10'000;

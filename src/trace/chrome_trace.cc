@@ -1,11 +1,17 @@
 #include "trace/chrome_trace.h"
 
+#include <cassert>
+#include <charconv>
+#include <cstring>
 #include <cstdio>
 #include <string_view>
+#include <vector>
 
 namespace aitax::trace {
 
 namespace {
+
+using namespace std::string_view_literals;
 
 /**
  * Append a string escaped for a JSON literal. Escapes the two
@@ -54,82 +60,194 @@ appendEscaped(std::string &out, std::string_view s)
 }
 
 /**
- * Append a nanosecond timestamp as microseconds, formatted exactly as
- * the legacy `os << double` did (defaultfloat, precision 6 == %g).
+ * Every name of one id space, escaped once per serialization and
+ * indexed by id. Local to one call: ids only mean something inside
+ * the tracer they came from, and clear()/cloneFrom() would otherwise
+ * need to invalidate a cache kept on the tracer.
  */
-void
-appendUs(std::string &out, sim::TimeNs ns)
+template <typename NameOf>
+std::vector<std::string>
+escapeAll(std::size_t count, NameOf name_of)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g",
-                  static_cast<double>(ns) / 1e3);
-    out += buf;
+    std::vector<std::string> escaped(count);
+    for (std::size_t id = 0; id < count; ++id)
+        appendEscaped(escaped[id],
+                      name_of(static_cast<std::uint32_t>(id)));
+    return escaped;
 }
 
-void
-appendInt(std::string &out, long long v)
+/** Longest %g rendering of a TimeNs / 1e3 ("-9.22337e+15"), rounded up. */
+constexpr std::size_t kMaxUsChars = 16;
+/** Longest decimal std::size_t. */
+constexpr std::size_t kMaxTidChars = 20;
+
+constexpr std::string_view kMetaHead =
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":)"sv;
+constexpr std::string_view kMetaName = R"(,"args":{"name":")"sv;
+constexpr std::string_view kMetaTail = R"("}})"sv;
+constexpr std::string_view kNameHead = R"({"name":")"sv;
+constexpr std::string_view kIntervalTid = R"(","ph":"X","pid":1,"tid":)"sv;
+constexpr std::string_view kIntervalTs = R"(,"ts":)"sv;
+constexpr std::string_view kIntervalDur = R"(,"dur":)"sv;
+constexpr std::string_view kIntervalTail = "}"sv;
+constexpr std::string_view kEventTs =
+    R"(","ph":"i","s":"g","pid":1,"tid":0,"ts":)"sv;
+constexpr std::string_view kEventDetail = R"(,"args":{"detail":")"sv;
+constexpr std::string_view kEventTail = R"("}})"sv;
+constexpr std::string_view kSep = ",\n"sv;
+constexpr std::string_view kOpen = "[\n"sv;
+constexpr std::string_view kClose = "\n]\n"sv;
+
+/**
+ * One record written straight into the output buffer. The
+ * constructor grows the buffer by the record's worst-case size; the
+ * destructor trims it to what was written. Every write stays inside
+ * that claim, so no append re-checks capacity.
+ */
+class Record
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%lld", v);
-    out += buf;
-}
+  public:
+    Record(std::string &out, std::size_t max_bytes) : out_(out)
+    {
+        const std::size_t start = out.size();
+        out.resize(start + max_bytes);
+        p_ = out.data() + start;
+        end_ = out.data() + out.size();
+    }
+    ~Record() { out_.resize(static_cast<std::size_t>(p_ - out_.data())); }
+    Record(const Record &) = delete;
+    Record &operator=(const Record &) = delete;
+
+    Record &
+    operator<<(std::string_view s)
+    {
+        assert(s.size() <= static_cast<std::size_t>(end_ - p_));
+        std::memcpy(p_, s.data(), s.size());
+        p_ += s.size();
+        return *this;
+    }
+
+    Record &
+    operator<<(std::size_t v)
+    {
+        const auto r = std::to_chars(p_, end_, v);
+        assert(r.ec == std::errc());
+        p_ = r.ptr;
+        return *this;
+    }
+
+    /**
+     * A nanosecond timestamp as microseconds, formatted exactly as
+     * the legacy `os << double` did (defaultfloat, precision 6, i.e.
+     * printf("%g")). The standard defines to_chars(general, 6) as
+     * that same printf conversion.
+     */
+    Record &
+    us(sim::TimeNs ns)
+    {
+        const auto r = std::to_chars(p_, end_, static_cast<double>(ns) / 1e3,
+                                     std::chars_format::general, 6);
+        assert(r.ec == std::errc());
+        p_ = r.ptr;
+        return *this;
+    }
+
+  private:
+    std::string &out_;
+    char *p_;
+    char *end_;
+};
 
 } // namespace
 
 std::string
 chromeTraceString(const Tracer &tracer)
 {
-    std::string out;
-    out += "[\n";
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            out += ",\n";
-        first = false;
-    };
+    const std::vector<std::string> labels = escapeAll(
+        tracer.labelCount(),
+        [&](std::uint32_t id) -> std::string_view {
+            return tracer.labelName(LabelId{id});
+        });
+    const std::vector<std::string> kinds = escapeAll(
+        tracer.eventKindCount(), [&](std::uint32_t id) -> std::string_view {
+            return tracer.eventKindName(EventKindId{id});
+        });
 
     // Stable thread ids per track (1..N in sorted-name order, matching
     // the std::map iteration the legacy writer relied on), plus name
     // metadata events.
     const std::vector<TrackId> tracks = tracer.sortedNonEmptyTracks();
+    const std::vector<std::string> track_names =
+        escapeAll(tracks.size(), [&](std::uint32_t i) -> std::string_view {
+            return tracer.trackName(tracks[i]);
+        });
+    const Tracer::EventStore &ev = tracer.eventStore();
+
+    // Worst-case record sizes less the escaped names; their sum
+    // reserves the whole document, so the buffer never regrows.
+    constexpr std::size_t kMetaMax = kSep.size() + kMetaHead.size() +
+                                     kMaxTidChars + kMetaName.size() +
+                                     kMetaTail.size();
+    constexpr std::size_t kIntervalMax =
+        kSep.size() + kNameHead.size() + kIntervalTid.size() +
+        kMaxTidChars + kIntervalTs.size() + kMaxUsChars +
+        kIntervalDur.size() + kMaxUsChars + kIntervalTail.size();
+    constexpr std::size_t kEventMax =
+        kSep.size() + kNameHead.size() + kEventTs.size() + kMaxUsChars +
+        kEventDetail.size() + kEventTail.size();
+    std::size_t reserve =
+        kOpen.size() + kClose.size() + ev.size() * kEventMax;
     for (std::size_t i = 0; i < tracks.size(); ++i) {
-        sep();
-        out += R"({"name":"thread_name","ph":"M","pid":1,"tid":)";
-        appendInt(out, static_cast<long long>(i + 1));
-        out += R"(,"args":{"name":")";
-        appendEscaped(out, tracer.trackName(tracks[i]));
-        out += R"("}})";
+        const Tracer::TrackStore &t = tracer.track(tracks[i]);
+        reserve += kMetaMax + track_names[i].size() +
+                   t.size() * kIntervalMax;
+        for (LabelId label : t.labels)
+            reserve += labels[label.value].size();
+    }
+    for (std::size_t j = 0; j < ev.size(); ++j)
+        reserve += kinds[ev.kinds[j].value].size() +
+                   labels[ev.details[j].value].size();
+
+    std::string out;
+    out.reserve(reserve);
+    out += kOpen;
+    bool first = true;
+    auto sep = [&](Record &r) {
+        if (!first)
+            r << kSep;
+        first = false;
+    };
+
+    for (std::size_t i = 0; i < tracks.size(); ++i) {
+        Record r(out, kMetaMax + track_names[i].size());
+        sep(r);
+        r << kMetaHead << (i + 1) << kMetaName << track_names[i]
+          << kMetaTail;
     }
 
     for (std::size_t i = 0; i < tracks.size(); ++i) {
         const Tracer::TrackStore &t = tracer.track(tracks[i]);
         for (std::size_t j = 0; j < t.size(); ++j) {
-            sep();
-            out += R"({"name":")";
-            appendEscaped(out, tracer.labelName(t.labels[j]));
-            out += R"(","ph":"X","pid":1,"tid":)";
-            appendInt(out, static_cast<long long>(i + 1));
-            out += R"(,"ts":)";
-            appendUs(out, t.begins[j]);
-            out += R"(,"dur":)";
-            appendUs(out, t.ends[j] - t.begins[j]);
-            out += "}";
+            const std::string &label = labels[t.labels[j].value];
+            Record r(out, kIntervalMax + label.size());
+            sep(r);
+            r << kNameHead << label << kIntervalTid << (i + 1)
+              << kIntervalTs;
+            r.us(t.begins[j]) << kIntervalDur;
+            r.us(t.ends[j] - t.begins[j]) << kIntervalTail;
         }
     }
 
-    const Tracer::EventStore &ev = tracer.eventStore();
     for (std::size_t j = 0; j < ev.size(); ++j) {
-        sep();
-        out += R"({"name":")";
-        appendEscaped(out, tracer.eventKindName(ev.kinds[j]));
-        out += R"(","ph":"i","s":"g","pid":1,"tid":0,"ts":)";
-        appendUs(out, ev.whens[j]);
-        out += R"(,"args":{"detail":")";
-        appendEscaped(out, tracer.labelName(ev.details[j]));
-        out += R"("}})";
+        const std::string &kind = kinds[ev.kinds[j].value];
+        const std::string &detail = labels[ev.details[j].value];
+        Record r(out, kEventMax + kind.size() + detail.size());
+        sep(r);
+        r << kNameHead << kind << kEventTs;
+        r.us(ev.whens[j]) << kEventDetail << detail << kEventTail;
     }
 
-    out += "\n]\n";
+    out += kClose;
     return out;
 }
 

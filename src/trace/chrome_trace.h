@@ -7,8 +7,9 @@
  * open equivalent to browsing a Snapdragon Profiler capture.
  *
  * Serialization streams the columnar store into one output buffer —
- * no per-field temporaries — and is byte-identical to the legacy
- * string-concatenating writer (the golden traces depend on that).
+ * each interned name escaped once per call, no per-field temporaries —
+ * and is byte-identical to the legacy string-concatenating writer (the
+ * golden traces depend on that).
  */
 
 #ifndef AITAX_TRACE_CHROME_TRACE_H

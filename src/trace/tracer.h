@@ -276,6 +276,9 @@ class Tracer
     std::vector<TrackId> sortedNonEmptyTracks() const;
 
     const EventStore &eventStore() const { return events_; }
+    /** Interned labels and event kinds; ids run 0..count-1. */
+    std::size_t labelCount() const { return labelNames_.size(); }
+    std::size_t eventKindCount() const { return kindNames_.size(); }
     const std::string &labelName(LabelId id) const
     {
         return labelNames_[id.value];

@@ -239,9 +239,7 @@ collectResult(soc::SocSystem &sys, app::Application &application,
     out.eventsExecuted = sys.simulator().eventsExecuted();
     if (request == ResultRequest::ReportOnly)
         return;
-    std::ostringstream trace;
-    trace::writeChromeTrace(trace, sys.tracer());
-    out.chromeTraceJson = trace.str();
+    out.chromeTraceJson = trace::chromeTraceString(sys.tracer());
 }
 
 /**

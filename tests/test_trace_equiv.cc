@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/chrome_trace.h"
@@ -292,6 +293,222 @@ TEST(TraceEquiv, UtilizationMatchesBruteForceOverlap)
             EXPECT_NEAR(got[k], std::min(expect[k], 1.0), 1e-6)
                 << track << " bucket " << k;
     }
+}
+
+// --- Formatter and escape-cache coverage ---------------------------
+//
+// The oracle above only ever sees timestamps below ~2e4 us, so it never
+// reaches the %g exponent form or a 6-digit rounding tie. These cases
+// drive the writer's number formatting and its per-call escape cache
+// (one escaped string per interned id) through the corners.
+
+std::string
+legacyString(const Tracer &t)
+{
+    std::ostringstream os;
+    legacyWriteChromeTrace(os, t);
+    return os.str();
+}
+
+TEST(TraceEquiv, FormatterCornersMatchLegacyBytes)
+{
+    Tracer t;
+    const TrackId core = t.internTrack("core0");
+    const TrackId dsp = t.internTrack("cdsp");
+    const TrackId idle = t.internTrack("idle");
+    const LabelId job = t.internLabel("job\"q\\\nx");
+    const LabelId plain = t.internLabel("plain");
+    t.internLabel("interned_never_recorded");
+    const EventKindId cs = t.internEventKind("context_switch");
+
+    const sim::TimeNs begins[] = {
+        0,
+        1,                   // 0.001 us
+        999'999'500,         // 999999.5 us rounds across a decade
+        999'999'499,         // ... and this one does not
+        1'000'000'000,       // 1e+06 us, the first exponent form
+        1'234'565'000,       // 6-digit tie, exactly representable
+        1'234'575'000,       // tie the other way (round half even)
+        123'456'500,         // 123456.5 us: tie in fixed notation
+        123'457'500,
+        1'234'565,           // 1234.565 us: a tie only in decimal
+        9'999'995'000,
+        12'345'678'901'234,  // large timeline
+        9'007'199'254'740'992, // 2^53 ns
+    };
+    for (sim::TimeNs b : begins) {
+        t.recordInterval(core, job, b, b + 500);      // dur 0.5 us
+        t.recordInterval(dsp, plain, b, b + 1'000'000'000);
+        t.recordEvent(cs, job, b); // the label doubles as a detail
+    }
+    // Zero-length intervals are dropped by both writers, so a track
+    // holding only those gets no thread_name row either.
+    t.recordInterval(idle, plain, 5'000, 5'000);
+    t.recordInterval(core, plain, 7'000'000'000, 7'000'000'000);
+
+    EXPECT_EQ(legacyString(t), chromeTraceString(t));
+    const std::string json = chromeTraceString(t);
+    EXPECT_NE(json.find(R"("ts":1e+06,)"), std::string::npos);
+    EXPECT_NE(json.find(R"("ts":1.23456e+06,)"), std::string::npos);
+    EXPECT_NE(json.find(R"("ts":1.23458e+06,)"), std::string::npos);
+    EXPECT_EQ(json.find("idle"), std::string::npos);
+}
+
+TEST(TraceEquiv, EmptyTracerMatchesLegacyBytes)
+{
+    Tracer empty;
+    EXPECT_EQ(chromeTraceString(empty), "[\n\n]\n");
+    EXPECT_EQ(legacyString(empty), chromeTraceString(empty));
+
+    // Interned names with nothing recorded serialize the same way.
+    Tracer named;
+    named.internTrack("core0");
+    named.internLabel("job");
+    named.internEventKind("migration");
+    EXPECT_EQ(chromeTraceString(named), "[\n\n]\n");
+}
+
+/** The writer's escape rules, spelled out independently of it. */
+std::string
+expectedEscape(std::string_view s)
+{
+    static const char *const kHex = "0123456789abcdef";
+    std::string out;
+    for (char c : s) {
+        const auto u = static_cast<unsigned char>(c);
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          default:
+            if (u < 0x20) {
+                out += "\\u00";
+                out += kHex[u >> 4];
+                out += kHex[u & 0xf];
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(TraceEquiv, EscapesEveryControlByteInEveryNameSlot)
+{
+    std::string nasty = "a";
+    for (char c = 0x01; c < 0x20; ++c)
+        nasty += c;
+    nasty += "\"\\z";
+    const std::string track = "tr\x01" "ack";
+    const std::string kind = "kind\x1f\"";
+
+    Tracer t;
+    const LabelId label = t.internLabel(nasty);
+    const LabelId other = t.internLabel("other\\");
+    t.recordInterval(t.internTrack(track), label, 1'000, 3'000);
+    t.recordInterval(t.internTrack("b"), other, 2'000, 2'500);
+    const EventKindId k = t.internEventKind(kind);
+    t.recordEvent(k, label, 4'000);
+    t.recordEvent(k, other, 5'000);
+
+    const std::string expected =
+        "[\n"
+        R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":")" +
+        expectedEscape("b") + "\"}},\n" +
+        R"({"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":")" +
+        expectedEscape(track) + "\"}},\n" +
+        R"({"name":")" + expectedEscape("other\\") +
+        R"(","ph":"X","pid":1,"tid":1,"ts":2,"dur":0.5},)" + "\n" +
+        R"({"name":")" + expectedEscape(nasty) +
+        R"(","ph":"X","pid":1,"tid":2,"ts":1,"dur":2},)" + "\n" +
+        R"({"name":")" + expectedEscape(kind) +
+        R"(","ph":"i","s":"g","pid":1,"tid":0,"ts":4,"args":{"detail":")" +
+        expectedEscape(nasty) + "\"}},\n" +
+        R"({"name":")" + expectedEscape(kind) +
+        R"(","ph":"i","s":"g","pid":1,"tid":0,"ts":5,"args":{"detail":")" +
+        expectedEscape("other\\") + "\"}}\n]\n";
+    EXPECT_EQ(expected, chromeTraceString(t));
+    int raw_control = 0;
+    for (char c : chromeTraceString(t))
+        raw_control += c != '\n' && static_cast<unsigned char>(c) < 0x20;
+    EXPECT_EQ(raw_control, 0);
+}
+
+TEST(TraceEquiv, NamesResolveAgainstTheTracerBeingWritten)
+{
+    // Same ids, different names: nothing escaped for one tracer (or
+    // for an earlier state of it) may leak into another's document.
+    Tracer a, b;
+    const LabelId la = a.internLabel("alpha\"");
+    const LabelId lb = b.internLabel("beta\\");
+    a.recordInterval(a.internTrack("x"), la, 10, 20);
+    b.recordInterval(b.internTrack("x"), lb, 10, 20);
+    a.recordEvent(a.internEventKind("context_switch"), la, 30);
+    b.recordEvent(b.internEventKind("migration"), lb, 30);
+    ASSERT_EQ(la, lb);
+
+    const std::string first_a = chromeTraceString(a);
+    EXPECT_EQ(legacyString(a), first_a);
+    EXPECT_EQ(legacyString(b), chromeTraceString(b));
+    EXPECT_EQ(first_a, chromeTraceString(a));
+
+    // A tracer restored from another one writes the other's names.
+    a.cloneFrom(b);
+    EXPECT_EQ(chromeTraceString(b), chromeTraceString(a));
+    a.clear();
+    const LabelId fresh = a.internLabel("gamma");
+    a.recordInterval(a.internTrack("x"), fresh, 40, 50);
+    EXPECT_EQ(legacyString(a), chromeTraceString(a));
+}
+
+TEST(TraceEquiv, TimestampSweepMatchesLegacyFormatting)
+{
+    // 10^6 seeded nanosecond values, two per one-interval trace (as
+    // "ts" and "dur"), each checked against the ostream oracle:
+    // small values, random magnitudes up to 2^53, and neighbourhoods
+    // of 5*10^k, where 6-digit rounding ties live.
+    Lcg rng;
+    Tracer t;
+    const TrackId track = t.internTrack("core0");
+    const LabelId label = t.internLabel("job");
+    std::ostringstream legacy;
+    auto value = [&](int i) -> sim::TimeNs {
+        const std::uint64_t r = rng.next();
+        switch (i % 3) {
+          case 0:
+            return static_cast<sim::TimeNs>(r % 3'000'000);
+          case 1: {
+            const std::uint64_t wide = (r << 16) ^ rng.next();
+            return static_cast<sim::TimeNs>(
+                       (wide & ((1ull << 53) - 1)) >> (r % 53)) +
+                   1;
+          }
+          default: {
+            sim::TimeNs p = 5;
+            for (std::uint64_t k = (r >> 8) % 13; k > 0; --k)
+                p *= 10;
+            return p * 1'000 + static_cast<sim::TimeNs>(r % 4001) -
+                   2'000;
+          }
+        }
+    };
+    int mismatches = 0;
+    for (int i = 0; i < 500'000; ++i) {
+        const sim::TimeNs begin = value(i);
+        const sim::TimeNs dur = value(i + 1) + 1;
+        t.clear();
+        t.recordInterval(track, label, begin, begin + dur);
+        legacy.str("");
+        legacyWriteChromeTrace(legacy, t);
+        if (legacy.str() != chromeTraceString(t) && ++mismatches <= 5)
+            ADD_FAILURE() << "begin " << begin << " dur " << dur << "\n"
+                          << legacy.str() << chromeTraceString(t);
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 } // namespace

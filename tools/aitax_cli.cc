@@ -878,6 +878,12 @@ main(int argc, char **argv)
             return 1;
         }
         trace::writeChromeTrace(out, sys.tracer());
+        out.flush();
+        if (!out) {
+            std::fprintf(stderr, "failed to write chrome trace to %s\n",
+                         chrome_trace_path.c_str());
+            return 1;
+        }
         std::printf("\nwrote chrome trace to %s\n",
                     chrome_trace_path.c_str());
     }
