@@ -15,198 +15,46 @@
 #ifndef AITAX_BENCH_BENCH_COMMON_H
 #define AITAX_BENCH_BENCH_COMMON_H
 
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "app/pipeline.h"
 #include "core/analyzer.h"
-#include "sim/arena.h"
 #include "soc/chipsets.h"
 #include "stats/table.h"
-#include "sweep/snapshot_cache.h"
 #include "sweep/sweep_runner.h"
+#include "verify/scenario.h"
 
 namespace aitax::bench {
 
 /** Runs per configuration; the paper performs 500 model invocations. */
 constexpr int kRuns = 500;
 
-/** One experiment configuration. */
-struct RunSpec
-{
-    std::string model = "mobilenet_v1";
-    tensor::DType dtype = tensor::DType::Float32;
-    app::FrameworkKind framework = app::FrameworkKind::TfliteCpu;
-    app::HarnessMode mode = app::HarnessMode::CliBenchmark;
-    int runs = kRuns;
-    int threads = 4;
-    std::uint64_t seed = 7;
-    bool instrumentation = false;
-    /** Streaming (buffered) camera capture instead of on-demand. */
-    bool streaming = false;
-    /** SoC preset; default is the paper's primary platform. */
-    std::string soc = "Snapdragon 845";
-};
-
 /**
- * A RunSpec with its string lookups resolved: model pointer, platform
- * config and pipeline config are computed once per scenario instead of
- * once per runSpec call inside a harness inner loop.
+ * The bench defaults: the CLI benchmark of MobileNet v1 fp32 on the
+ * TFLite CPU delegate (4 threads) on the paper's primary platform,
+ * kRuns frames, seed 7. Harnesses override the fields they sweep.
  */
-struct ResolvedSpec
+inline verify::Scenario
+scenario()
 {
-    const RunSpec *spec = nullptr;
-    soc::SocConfig platform;
-    app::PipelineConfig cfg;
-};
-
-/** Resolve lookups once; @p spec must outlive the result. */
-inline ResolvedSpec
-resolveSpec(const RunSpec &spec)
-{
-    ResolvedSpec r;
-    r.spec = &spec;
-    r.platform = soc::platformByName(spec.soc);
-    r.cfg.model = models::findModel(spec.model);
-    r.cfg.dtype = spec.dtype;
-    r.cfg.framework = spec.framework;
-    r.cfg.mode = spec.mode;
-    r.cfg.threads = spec.threads;
-    r.cfg.instrumentationEnabled = spec.instrumentation;
-    r.cfg.streamingCapture = spec.streaming;
-    return r;
-}
-
-/** The calling thread's bench arena (mirrors verify::scenarioArena). */
-inline sim::Arena &
-benchArena()
-{
-    static thread_local sim::Arena arena;
-    return arena;
-}
-
-/** Per-run observability counters reported by runResolved. */
-struct RunMetrics
-{
-    /** Simulation events executed (the events/sec denominator). */
-    std::uint64_t events = 0;
-    /** Fast-engine front-cache hits (0 under Reference). */
-    std::uint64_t frontCacheHits = 0;
-    /** Wall seconds spent constructing the system + application. */
-    double setupSeconds = 0.0;
-};
-
-/**
- * Warm-up snapshot cache key for a bench spec: every field that can
- * influence the post-warm-up state, in the keying discipline of
- * verify::snapshotKey. Seed and run count are deliberately absent —
- * the warm-up prefix is independent of both. The "bench-" prefix keeps
- * these entries disjoint from the verify tier's.
- */
-inline std::string
-benchWarmupKey(const ResolvedSpec &r)
-{
-    return std::string("bench-warmup-v1|soc=") + r.spec->soc +
-           "|model=" + r.spec->model +
-           "|dtype=" + std::string(tensor::dtypeName(r.cfg.dtype)) +
-           "|fw=" + std::string(app::frameworkName(r.cfg.framework)) +
-           "|mode=" + std::string(app::harnessModeName(r.cfg.mode)) +
-           "|threads=" + std::to_string(r.cfg.threads) +
-           "|instr=" + (r.cfg.instrumentationEnabled ? "1" : "0") +
-           "|stream=" + (r.cfg.streamingCapture ? "1" : "0");
+    verify::Scenario s;
+    s.mode = app::HarnessMode::CliBenchmark;
+    s.runs = kRuns;
+    s.seed = 7;
+    return s;
 }
 
 /**
- * Execute one resolved configuration with an explicit engine. All run
- * state is bump-allocated from the thread's arena and recycled when
- * the run ends. Fast-engine CLI-benchmark runs memoize their warm-up
- * prefix through the process-wide snapshot cache, exactly like
- * verify::runScenario — the differential tier proves the replay is
- * byte-identical, and restoreWarmup re-establishes the executed-event
- * count, so Fast and Reference event totals stay comparable.
+ * Execute one configuration on a fresh simulated SoC through the one
+ * scenario runner (Fast engine, warm-up memoized where eligible).
  */
 inline core::TaxReport
-runResolved(const ResolvedSpec &resolved, sim::EngineMode engine,
-            RunMetrics *metrics)
+runSpec(const verify::Scenario &s)
 {
-    sim::Arena &arena = benchArena();
-    sim::ArenaResetGuard guard(arena);
-    const auto setup_start = std::chrono::steady_clock::now();
-    soc::SocSystem &sys = *arena.create<soc::SocSystem>(
-        resolved.platform, resolved.spec->seed, engine, &arena);
-    const std::uint64_t seq_base = sys.simulator().seqWatermark();
-    app::Application &application =
-        *arena.create<app::Application>(sys, resolved.cfg);
-    if (metrics != nullptr)
-        metrics->setupSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - setup_start)
-                .count();
-
-    core::TaxReport report;
-    if (engine == sim::EngineMode::Fast &&
-        resolved.cfg.mode == app::HarnessMode::CliBenchmark) {
-        const std::string key = benchWarmupKey(resolved);
-        auto cached =
-            std::static_pointer_cast<const soc::WarmupSnapshot>(
-                sweep::snapshotCacheLookup(key));
-        if (cached != nullptr) {
-            sys.restoreWarmup(*cached);
-            application.adoptRestoredWarmup();
-        } else {
-            application.scheduleWarmup(resolved.spec->runs, report);
-            sys.simulator().runUntilCondition(
-                [&application] { return application.warmupComplete(); });
-            auto snap = std::make_shared<soc::WarmupSnapshot>();
-            if (sys.captureWarmup(*snap, seq_base))
-                sweep::snapshotCacheStore(key, std::move(snap));
-        }
-        application.scheduleFramesAfterWarmup(resolved.spec->runs,
-                                              report);
-    } else {
-        application.scheduleRuns(resolved.spec->runs, report);
-    }
-    sys.run();
-    if (metrics != nullptr) {
-        metrics->events = sys.simulator().eventsExecuted();
-        metrics->frontCacheHits = sys.simulator().frontCacheHits();
-    }
-    return report;
-}
-
-/**
- * Engine-explicit variant that only reports the executed-event count
- * (the pre-PR 7 signature, kept for harnesses that don't need the
- * full RunMetrics).
- */
-inline core::TaxReport
-runResolved(const ResolvedSpec &resolved, sim::EngineMode engine,
-            std::uint64_t *events_out = nullptr)
-{
-    RunMetrics metrics;
-    core::TaxReport report = runResolved(resolved, engine, &metrics);
-    if (events_out != nullptr)
-        *events_out = metrics.events;
-    return report;
-}
-
-/** Execute one resolved configuration on a fresh simulated SoC. */
-inline core::TaxReport
-runResolved(const ResolvedSpec &resolved)
-{
-    return runResolved(resolved, sim::EngineMode::Fast);
-}
-
-/** Execute one configuration on a fresh simulated SoC. */
-inline core::TaxReport
-runSpec(const RunSpec &spec)
-{
-    return runResolved(resolveSpec(spec));
+    return verify::runScenario(s, sim::EngineMode::Fast,
+                               verify::ResultRequest::ReportOnly)
+        .report;
 }
 
 /** The harness-wide worker count (set by initBench / --jobs). */
@@ -238,18 +86,11 @@ initBench(int &argc, char **argv)
  * Results are in submission order regardless of the worker count.
  */
 inline std::vector<core::TaxReport>
-runSpecs(const std::vector<RunSpec> &specs)
+runSpecs(const std::vector<verify::Scenario> &specs)
 {
-    // Resolve each scenario exactly once, up front and serially.
-    std::vector<ResolvedSpec> resolved;
-    resolved.reserve(specs.size());
-    for (const auto &s : specs)
-        resolved.push_back(resolveSpec(s));
-
     sweep::SweepRunner runner(benchJobs());
     return runner.map<core::TaxReport>(
-        resolved.size(),
-        [&](std::size_t i) { return runResolved(resolved[i]); });
+        specs.size(), [&](std::size_t i) { return runSpec(specs[i]); });
 }
 
 /** Print a section heading with the paper reference. */

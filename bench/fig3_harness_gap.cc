@@ -46,13 +46,13 @@ main(int argc, char **argv)
 
     // Three harness modes per model, all independent: run the whole
     // matrix on the sweep pool and read results back in order.
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     for (const auto &e : entries) {
         for (auto mode : {HarnessMode::CliBenchmark,
                           HarnessMode::BenchmarkApp,
                           HarnessMode::AndroidApp}) {
-            bench::RunSpec spec;
-            spec.model = e.model;
+            verify::Scenario spec = bench::scenario();
+            spec.modelId = e.model;
             spec.dtype = e.dtype;
             spec.mode = mode;
             specs.push_back(spec);

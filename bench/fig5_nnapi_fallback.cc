@@ -39,10 +39,10 @@ main(int argc, char **argv)
     };
 
     // (The table is assembled after the sweep, once CPU-1T is known.)
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     for (const auto &t : targets) {
-        bench::RunSpec spec;
-        spec.model = "efficientnet_lite0";
+        verify::Scenario spec = bench::scenario();
+        spec.modelId = "efficientnet_lite0";
         spec.dtype = tensor::DType::UInt8;
         spec.framework = t.fw;
         spec.threads = t.threads;
@@ -68,8 +68,8 @@ main(int argc, char **argv)
     final_table.render(std::cout);
 
     // The float model for contrast.
-    bench::RunSpec fspec;
-    fspec.model = "efficientnet_lite0";
+    verify::Scenario fspec = bench::scenario();
+    fspec.modelId = "efficientnet_lite0";
     fspec.dtype = tensor::DType::Float32;
     fspec.framework = app::FrameworkKind::TfliteNnapi;
     const auto fp = bench::runSpec(fspec);

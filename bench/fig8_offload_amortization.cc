@@ -22,18 +22,12 @@ main()
         "small, so the offload share decays towards a few percent as "
         "inferences accumulate");
 
-    soc::SocSystem sys(soc::makeSnapdragon845(), 7);
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("mobilenet_v1");
-    cfg.dtype = tensor::DType::UInt8;
-    cfg.framework = app::FrameworkKind::TfliteHexagon;
-    cfg.mode = app::HarnessMode::CliBenchmark;
-    app::Application application(sys, cfg);
-    core::TaxReport report;
-    application.scheduleRuns(bench::kRuns, report);
-    sys.run();
-
-    const auto &log = application.rpcLog();
+    verify::Scenario spec = bench::scenario();
+    spec.dtype = tensor::DType::UInt8;
+    spec.framework = app::FrameworkKind::TfliteHexagon;
+    const verify::ScenarioResult result = verify::runScenario(
+        spec, sim::EngineMode::Fast, verify::ResultRequest::ReportOnly);
+    const auto &log = result.rpcLog;
 
     // --- Fig 7: per-call stage breakdown (first vs steady state) ---
     std::printf("--- Fig 7: FastRPC stages (ms) ---\n");

@@ -68,7 +68,7 @@ struct Combo
     app::FrameworkKind fw;
 };
 
-std::vector<bench::RunSpec>
+std::vector<verify::Scenario>
 buildMatrix(int scenarios, int runs)
 {
     static const Combo kCombos[] = {
@@ -101,19 +101,19 @@ buildMatrix(int scenarios, int runs)
         "Snapdragon 865",
     };
 
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     specs.reserve(static_cast<std::size_t>(scenarios));
     for (int i = 0; i < scenarios; ++i) {
         const Combo &c = kCombos[static_cast<std::size_t>(i) %
                                  std::size(kCombos)];
-        bench::RunSpec spec;
-        spec.model = c.model;
+        verify::Scenario spec = bench::scenario();
+        spec.modelId = c.model;
         spec.dtype = c.dtype;
         spec.framework = c.fw;
         spec.mode = kModes[static_cast<std::size_t>(i / 2) %
                            std::size(kModes)];
-        spec.soc = kSocs[static_cast<std::size_t>(i / 3) %
-                         std::size(kSocs)];
+        spec.socName = kSocs[static_cast<std::size_t>(i / 3) %
+                             std::size(kSocs)];
         // Every fourth row uses streaming capture; where that lands on
         // a CliBenchmark row it exercises the fork-stream snapshot
         // path (warm-up memoized despite the post-warm-up divergence).
@@ -135,12 +135,18 @@ checksum(const std::vector<core::TaxReport> &reports)
     return sum;
 }
 
-/** One scenario's report plus its executed-event count. */
-struct CountedReport
+/**
+ * One report-only Fast run whose construction (verify::ScenarioRun's
+ * constructor) is timed on its own and added to @p setup_s.
+ */
+verify::ScenarioResult
+runTimingSetup(const verify::Scenario &s, double &setup_s)
 {
-    core::TaxReport report;
-    std::uint64_t events = 0;
-};
+    const auto t0 = Clock::now();
+    verify::ScenarioRun run(s, sim::EngineMode::Fast);
+    setup_s += secondsSince(t0);
+    return run.finish(verify::ResultRequest::ReportOnly);
+}
 
 /**
  * Pull a named number out of a baseline BENCH_sweep.json. The files
@@ -164,17 +170,15 @@ baselineNumber(const std::string &json, const char *key)
 sweep::ScenarioFn
 benchScenarioFn(int scenarios, int runs)
 {
-    auto specs = std::make_shared<std::vector<bench::RunSpec>>(
+    auto specs = std::make_shared<std::vector<verify::Scenario>>(
         buildMatrix(scenarios, runs));
     return [specs](int index) {
-        const bench::ResolvedSpec r =
-            bench::resolveSpec((*specs)[static_cast<std::size_t>(index)]);
-        bench::RunMetrics m;
-        const core::TaxReport report =
-            bench::runResolved(r, sim::EngineMode::Fast, &m);
+        const verify::ScenarioResult r = verify::runScenario(
+            (*specs)[static_cast<std::size_t>(index)], sim::EngineMode::Fast,
+            verify::ResultRequest::ReportOnly);
         sweep::ScenarioOutcome o;
-        o.e2eMeanMs = report.endToEndMeanMs();
-        o.events = m.events;
+        o.e2eMeanMs = r.report.endToEndMeanMs();
+        o.events = r.eventsExecuted;
         return o;
     };
 }
@@ -324,15 +328,11 @@ main(int argc, char **argv)
     jobs = sweep::effectiveJobs(jobs);
 
     const auto specs = buildMatrix(scenarios, runs);
-    std::vector<bench::ResolvedSpec> resolved;
-    resolved.reserve(specs.size());
-    for (const auto &s : specs)
-        resolved.push_back(bench::resolveSpec(s));
 
     // Warm the process-wide graph cache outside the timed region so
     // both passes see the same steady-state cost per scenario.
-    for (const auto &r : resolved)
-        (void)models::cachedGraph(*r.cfg.model, r.cfg.dtype);
+    for (const auto &s : specs)
+        (void)models::cachedGraph(*models::findModel(s.modelId), s.dtype);
 
     std::printf("sweep_throughput: %d scenarios x %d runs, --jobs %d\n",
                 scenarios, runs, jobs);
@@ -348,15 +348,13 @@ main(int argc, char **argv)
     std::uint64_t total_events = 0;
     std::uint64_t front_cache_hits = 0;
     double setup_s = 0.0;
-    for (std::size_t i = 0; i < resolved.size(); ++i) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         const auto t0 = Clock::now();
-        bench::RunMetrics m;
-        serial_reports.push_back(bench::runResolved(
-            resolved[i], sim::EngineMode::Fast, &m));
+        verify::ScenarioResult r = runTimingSetup(specs[i], setup_s);
         scenario_ms[i] = secondsSince(t0) * 1e3;
-        total_events += m.events;
-        front_cache_hits += m.frontCacheHits;
-        setup_s += m.setupSeconds;
+        serial_reports.push_back(std::move(r.report));
+        total_events += r.eventsExecuted;
+        front_cache_hits += r.frontCacheHits;
     }
     const double serial_s = secondsSince(serial_start);
 
@@ -374,9 +372,8 @@ main(int argc, char **argv)
     for (int rep = 0; rep < kTimedReps; ++rep) {
         const auto start = Clock::now();
         auto reports = runner.map<core::TaxReport>(
-            resolved.size(), [&](std::size_t i) {
-                return bench::runResolved(resolved[i]);
-            });
+            specs.size(),
+            [&](std::size_t i) { return bench::runSpec(specs[i]); });
         parallel_s = std::min(parallel_s, secondsSince(start));
         if (rep == 0)
             parallel_reports = std::move(reports);
@@ -388,16 +385,15 @@ main(int argc, char **argv)
     // gate regresses against, and the checksum + event-count match is
     // the cheap always-on face of the differential contract (the
     // byte-exact version lives in tests/test_differential.cc).
-    std::vector<CountedReport> reference_results;
+    std::vector<verify::ScenarioResult> reference_results;
     double reference_s = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kTimedReps; ++rep) {
         const auto start = Clock::now();
-        auto results = runner.map<CountedReport>(
-            resolved.size(), [&](std::size_t i) {
-                CountedReport r;
-                r.report = bench::runResolved(
-                    resolved[i], sim::EngineMode::Reference, &r.events);
-                return r;
+        auto results = runner.map<verify::ScenarioResult>(
+            specs.size(), [&](std::size_t i) {
+                return verify::runScenario(
+                    specs[i], sim::EngineMode::Reference,
+                    verify::ResultRequest::ReportOnly);
             });
         reference_s = std::min(reference_s, secondsSince(start));
         if (rep == 0)
@@ -409,7 +405,7 @@ main(int argc, char **argv)
     std::uint64_t reference_events = 0;
     for (const auto &r : reference_results) {
         reference_reports.push_back(r.report);
-        reference_events += r.events;
+        reference_events += r.eventsExecuted;
     }
 
     const double serial_sum = checksum(serial_reports);

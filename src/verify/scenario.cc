@@ -1,8 +1,8 @@
 #include "verify/scenario.h"
 
-#include <cassert>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "app/background_load.h"
 #include "soc/chipsets.h"
@@ -41,6 +41,10 @@ Scenario::label() const
         os << "_stream";
     if (faults)
         os << "_flt";
+    if (threads != 4)
+        os << "_t" << threads;
+    if (instrumentation)
+        os << "_instr";
     os << "_s" << seed;
     std::string out = os.str();
     for (char &c : out)
@@ -62,6 +66,10 @@ Scenario::describe() const
         os << ", streaming";
     if (faults)
         os << ", faults";
+    if (threads != 4)
+        os << ", threads=" << threads;
+    if (instrumentation)
+        os << ", instrumentation";
     os << ", seed=" << seed;
     return os.str();
 }
@@ -170,7 +178,8 @@ snapshotKey(const Scenario &s)
        << "|stream=" << (s.streaming ? 1 : 0)
        << "|dspload=" << s.dspLoadProcesses
        << "|cpuload=" << s.cpuLoadProcesses
-       << "|faults=" << (s.faults ? 1 : 0);
+       << "|faults=" << (s.faults ? 1 : 0) << "|threads=" << s.threads
+       << "|instr=" << (s.instrumentation ? 1 : 0);
     return os.str();
 }
 
@@ -191,6 +200,8 @@ pipelineConfigFor(const Scenario &s)
     cfg.dtype = s.dtype;
     cfg.framework = s.framework;
     cfg.mode = s.mode;
+    cfg.threads = s.threads;
+    cfg.instrumentationEnabled = s.instrumentation;
     cfg.streamingCapture = s.streaming;
     return cfg;
 }
@@ -237,6 +248,7 @@ collectResult(soc::SocSystem &sys, app::Application &application,
     out.energyMj = sys.energy().totalMj();
     out.thermalSpeedFactor = sys.thermal().speedFactor();
     out.eventsExecuted = sys.simulator().eventsExecuted();
+    out.frontCacheHits = sys.simulator().frontCacheHits();
     if (request == ResultRequest::ReportOnly)
         return;
     out.chromeTraceJson = trace::chromeTraceString(sys.tracer());
@@ -261,129 +273,114 @@ snapshotUsable(const faults::FaultInjector *inj,
 }
 
 /**
- * Fast-engine path for snapshot-eligible scenarios: restore a cached
- * post-warm-up state when one exists and fits this run's fault plan,
- * otherwise execute the warm-up via the split schedule API and publish
- * the capture. Falls back to executing the warm-up (never to wrong
- * results) whenever capture or reuse is not possible. Background
- * loops are constructed before the warm-up (inert) and started after
- * it, exactly like the Reference CLI path, so a cache hit replays the
- * same post-warm-up schedule a cache-free run would produce.
+ * Arm the scenario's faults, if any, and return the seq watermark
+ * right after it: the base that snapshot seqs are stored (and
+ * restored) relative to. Arming precedes every component that forks
+ * the system RNG, so the fault schedule is a pure function of
+ * (platform, seed).
  */
-ScenarioResult
-runScenarioMemoized(const Scenario &s, ResultRequest request,
-                    sim::Arena &arena)
+std::uint64_t
+armFaultsForSnapshot(soc::SocSystem &sys, const Scenario &s)
 {
-    const std::string key = snapshotKey(s);
-    auto cached = std::static_pointer_cast<const soc::WarmupSnapshot>(
-        sweep::snapshotCacheLookup(key));
-
-    soc::SocSystem &sys = *arena.create<soc::SocSystem>(
-        soc::platformByName(s.socName), s.seed, sim::EngineMode::Fast,
-        &arena);
     if (s.faults)
         sys.armFaults(faults::FaultConfig::fuzzDefaults());
-    // Seq watermark after fault arming, before any warm-up work: the
-    // base that snapshot seqs are stored (and restored) relative to.
-    const std::uint64_t seq_base = sys.simulator().seqWatermark();
-    app::Application &application =
-        *arena.create<app::Application>(sys, pipelineConfigFor(s));
-    auto loops = buildLoops(arena, sys, s);
-
-    ScenarioResult out;
-    if (cached && snapshotUsable(sys.faults(), *cached)) {
-        sys.restoreWarmup(*cached);
-        application.adoptRestoredWarmup();
-    } else {
-        application.scheduleWarmup(s.runs, out.report);
-        sys.simulator().runUntilCondition(
-            [&application] { return application.warmupComplete(); });
-        if (!cached) {
-            auto snap = std::make_shared<soc::WarmupSnapshot>();
-            if (sys.captureWarmup(*snap, seq_base))
-                sweep::snapshotCacheStore(key, std::move(snap));
-        }
-    }
-    for (auto *loop : loops)
-        loop->start(sys.simulator().now() + sim::secToNs(60.0));
-    application.scheduleFramesAfterWarmup(s.runs, out.report,
-                                          [&loops](sim::TimeNs) {
-                                              for (auto *loop : loops)
-                                                  loop->stop();
-                                          });
-    out.endTimeNs = sys.run();
-    collectResult(sys, application, request, out);
-    for (const auto *loop : loops)
-        out.backgroundInferences += loop->completedInferences();
-    return out;
+    return sys.simulator().seqWatermark();
 }
 
-/**
- * Engine-explicit path without memoization. CLI-benchmark scenarios
- * still run the split warm-up schedule (warm-up, then background-loop
- * start, then frames) so that the Reference engine produces the exact
- * event sequence the memoized Fast path replays — the byte-compare
- * contract of the differential tier. App-mode scenarios keep the
- * single-shot schedule: their interference interleaves with the
- * warm-up by design.
- */
-ScenarioResult
-runScenarioDirect(const Scenario &s, sim::EngineMode engine,
-                  ResultRequest request, sim::Arena &arena)
+/** @p s itself, or std::invalid_argument naming it. */
+const Scenario &
+checkedScenario(const Scenario &s)
 {
-    soc::SocSystem &sys = *arena.create<soc::SocSystem>(
-        soc::platformByName(s.socName), s.seed, engine, &arena);
-    // Arm faults before any component forks the system RNG, so the
-    // fault schedule is a pure function of (platform, seed).
-    if (s.faults)
-        sys.armFaults(faults::FaultConfig::fuzzDefaults());
-
-    app::Application &application =
-        *arena.create<app::Application>(sys, pipelineConfigFor(s));
-    auto loops = buildLoops(arena, sys, s);
-
-    ScenarioResult out;
-    auto stop_loops = [&loops](sim::TimeNs) {
-        for (auto *loop : loops)
-            loop->stop();
-    };
-    if (s.mode == app::HarnessMode::CliBenchmark) {
-        application.scheduleWarmup(s.runs, out.report);
-        sys.simulator().runUntilCondition(
-            [&application] { return application.warmupComplete(); });
-        for (auto *loop : loops)
-            loop->start(sys.simulator().now() + sim::secToNs(60.0));
-        application.scheduleFramesAfterWarmup(s.runs, out.report,
-                                              stop_loops);
-    } else {
-        for (auto *loop : loops)
-            loop->start(sim::secToNs(60.0));
-        application.scheduleRuns(s.runs, out.report, stop_loops);
-    }
-    out.endTimeNs = sys.run();
-
-    collectResult(sys, application, request, out);
-    for (const auto *loop : loops)
-        out.backgroundInferences += loop->completedInferences();
-    return out;
+    if (!scenarioValid(s))
+        throw std::invalid_argument("invalid scenario: " + s.describe());
+    return s;
 }
 
 } // namespace
+
+ScenarioRun::ScenarioRun(const Scenario &s, sim::EngineMode engine)
+    : s_(checkedScenario(s)), engine_(engine),
+      arenaGuard_(scenarioArena()),
+      sys_(*scenarioArena().create<soc::SocSystem>(
+          soc::platformByName(s.socName), s.seed, engine,
+          &scenarioArena())),
+      seqBase_(armFaultsForSnapshot(sys_, s)),
+      application_(*scenarioArena().create<app::Application>(
+          sys_, pipelineConfigFor(s))),
+      loops_(buildLoops(scenarioArena(), sys_, s))
+{
+}
+
+// The arena guard resets the arena, running the finalizers of the
+// system, application and loops; finish()'s result holds no pointers
+// into it.
+ScenarioRun::~ScenarioRun() = default;
+
+/**
+ * The warm-up prefix. On the Fast engine a snapshot-eligible scenario
+ * restores a cached post-warm-up state when one exists and fits this
+ * run's fault plan; otherwise the warm-up executes, and a miss
+ * publishes its capture. Reuse or capture failing only ever falls back
+ * to executing the warm-up, never to a different result.
+ */
+void
+ScenarioRun::warmUp(core::TaxReport &report)
+{
+    const bool memo = engine_ == sim::EngineMode::Fast &&
+                      classifySnapshotUse(s_) == SnapshotUse::Eligible;
+    std::string key;
+    std::shared_ptr<const soc::WarmupSnapshot> cached;
+    if (memo) {
+        key = snapshotKey(s_);
+        cached = std::static_pointer_cast<const soc::WarmupSnapshot>(
+            sweep::snapshotCacheLookup(key));
+    }
+    if (cached && snapshotUsable(sys_.faults(), *cached)) {
+        sys_.restoreWarmup(*cached);
+        application_.adoptRestoredWarmup();
+        return;
+    }
+    application_.scheduleWarmup(s_.runs, report);
+    sys_.simulator().runUntilCondition(
+        [this] { return application_.warmupComplete(); });
+    if (memo && !cached) {
+        auto snap = std::make_shared<soc::WarmupSnapshot>();
+        if (sys_.captureWarmup(*snap, seqBase_))
+            sweep::snapshotCacheStore(key, std::move(snap));
+    }
+}
+
+ScenarioResult
+ScenarioRun::finish(ResultRequest request)
+{
+    ScenarioResult out;
+    auto stop_loops = [this](sim::TimeNs) {
+        for (auto *loop : loops_)
+            loop->stop();
+    };
+    if (s_.mode == app::HarnessMode::CliBenchmark) {
+        warmUp(out.report);
+        for (auto *loop : loops_)
+            loop->start(sys_.simulator().now() + sim::secToNs(60.0));
+        application_.scheduleFramesAfterWarmup(s_.runs, out.report,
+                                               stop_loops);
+    } else {
+        for (auto *loop : loops_)
+            loop->start(sim::secToNs(60.0));
+        application_.scheduleRuns(s_.runs, out.report, stop_loops);
+    }
+    out.endTimeNs = sys_.run();
+    collectResult(sys_, application_, request, out);
+    for (const auto *loop : loops_)
+        out.backgroundInferences += loop->completedInferences();
+    return out;
+}
 
 ScenarioResult
 runScenario(const Scenario &s, sim::EngineMode engine,
             ResultRequest request)
 {
-    assert(scenarioValid(s));
-    // All run state lives in the thread's arena; the guard resets it
-    // (running registered finalizers in reverse creation order) after
-    // the result — which holds no pointers into the arena — is out.
-    sim::Arena &arena = scenarioArena();
-    sim::ArenaResetGuard guard(arena);
-    if (engine == sim::EngineMode::Fast &&
-        classifySnapshotUse(s) == SnapshotUse::Eligible)
-        return runScenarioMemoized(s, request, arena);
-    return runScenarioDirect(s, engine, request, arena);
+    return ScenarioRun(s, engine).finish(request);
 }
 
 ScenarioResult

@@ -23,6 +23,10 @@
 #include "sim/random.h"
 #include "soc/fastrpc.h"
 
+namespace aitax::app {
+class BackgroundInferenceLoop;
+} // namespace aitax::app
+
 namespace aitax::verify {
 
 /** One fully-specified verification experiment. */
@@ -41,6 +45,13 @@ struct Scenario
     int cpuLoadProcesses = 0;
     /** Streaming camera capture (depth-1 buffer) instead of on-demand. */
     bool streaming = false;
+    /** CPU inference threads. Never sampled; the benches sweep it. */
+    int threads = 4;
+    /**
+     * Enable the Section III-D driver instrumentation probe. Never
+     * sampled; the probe-effect bench sets it.
+     */
+    bool instrumentation = false;
     /**
      * Arm the seeded fault injector (FaultConfig::fuzzDefaults()).
      * Never sampled — only `aitax_cli verify --faults` sets it, so the
@@ -50,17 +61,21 @@ struct Scenario
     /** Root seed of the simulated system. */
     std::uint64_t seed = 1;
 
-    /** Filesystem-safe identifier (also the golden file stem). */
+    /**
+     * Filesystem-safe identifier (also the golden file stem). Fields
+     * at their defaults add nothing, so stems predating a field keep
+     * their bytes.
+     */
     std::string label() const;
 
-    /** One human-readable description line. */
+    /** One human-readable description line (same default rule). */
     std::string describe() const;
 };
 
 /**
  * True if the combination is runnable: the model must support the
- * requested format/framework (Table I support matrix) and the SNPE
- * path has no transformer kernels.
+ * requested format/framework (Table I support matrix), the SNPE path
+ * has no transformer kernels, and there is at least one run.
  */
 bool scenarioValid(const Scenario &s);
 
@@ -104,6 +119,8 @@ struct ScenarioResult
     faults::FaultStats faultStats;
     /** Simulation events executed — campaign throughput numerator. */
     std::uint64_t eventsExecuted = 0;
+    /** Fast-engine front-cache hits (0 under Reference). */
+    std::uint64_t frontCacheHits = 0;
 };
 
 /**
@@ -151,25 +168,69 @@ enum class ResultRequest
 };
 
 /**
- * Execute one scenario: build the platform, run the pipeline with any
- * configured background load, and collect the report plus witnesses.
- * Runs the Fast engine with warm-up memoization where eligible and
- * returns the full result, trace included.
+ * One scenario run, split at its one seam so a harness can time
+ * construction on its own. The constructor builds the system, the
+ * application and the (not yet started) background loops in
+ * scenarioArena(); finish() runs the warm-up — or, on the Fast engine
+ * for a snapshot-eligible scenario, restores it from the snapshot
+ * cache, publishing a capture on a miss — then the frames, and
+ * collects the result. CLI-benchmark runs use the split warm-up
+ * schedule on both engines (warm-up, then background-loop start, then
+ * frames), which is event-for-event identical to a single
+ * scheduleRuns() (app/pipeline.h), so a restored run is byte-identical
+ * to a Reference run. App-mode runs keep the single-shot schedule:
+ * their interference interleaves with the warm-up by design.
+ *
+ * The destructor resets the thread's arena, so at most one
+ * ScenarioRun may be live per thread, and @p s must outlive it.
  */
-ScenarioResult runScenario(const Scenario &s);
+class ScenarioRun
+{
+  public:
+    /**
+     * Build the run. Throws std::invalid_argument, naming
+     * s.describe(), when !scenarioValid(s).
+     */
+    ScenarioRun(const Scenario &s, sim::EngineMode engine);
+    ~ScenarioRun();
+    ScenarioRun(const ScenarioRun &) = delete;
+    ScenarioRun &operator=(const ScenarioRun &) = delete;
+
+    /**
+     * Warm up (or restore), run to quiescence and collect. Call once.
+     * With @p request ReportOnly the result's chromeTraceJson is empty
+     * and every other field equals the Full result's.
+     */
+    ScenarioResult finish(ResultRequest request);
+
+  private:
+    const Scenario &s_;
+    sim::EngineMode engine_;
+    sim::ArenaResetGuard arenaGuard_;
+    soc::SocSystem &sys_;
+    /** Seq watermark after fault arming: the snapshot seq base. */
+    std::uint64_t seqBase_;
+    app::Application &application_;
+    std::vector<app::BackgroundInferenceLoop *> loops_;
+
+    void warmUp(core::TaxReport &report);
+};
 
 /**
- * Engine-explicit variant, the differential-test hook: Reference runs
- * the heap-only loop with no memoization; Fast runs the skip-ahead
- * engine with the snapshot cache. Both produce byte-identical results.
- * With @p request ReportOnly the result's chromeTraceJson is empty and
- * every other field equals the Full result's.
+ * Execute one scenario: ScenarioRun(s, engine).finish(request). The
+ * Reference engine is the heap-only loop with no memoization; Fast is
+ * the skip-ahead engine with the snapshot cache. Both produce
+ * byte-identical results. Throws std::invalid_argument for an invalid
+ * scenario.
  */
 ScenarioResult runScenario(const Scenario &s, sim::EngineMode engine,
                            ResultRequest request = ResultRequest::Full);
 
+/** runScenario on the Fast engine, full result with the trace. */
+ScenarioResult runScenario(const Scenario &s);
+
 /**
- * The calling thread's scenario arena: runScenario() bump-allocates
+ * The calling thread's scenario arena: ScenarioRun bump-allocates
  * all per-run state (SocSystem, Application, tasks, background loops,
  * the fault injector) from it and resets it as the run ends, so
  * back-to-back runs on one thread — sweep workers, the fuzz loop —

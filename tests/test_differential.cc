@@ -307,6 +307,14 @@ TEST(SnapshotKey, AdversarialDivergentPairsNeverShare)
     Scenario other_mode = base;
     other_mode.mode = app::HarnessMode::BenchmarkApp;
     EXPECT_FALSE(couldShareSnapshot(base, other_mode));
+
+    Scenario one_thread = base;
+    one_thread.threads = 1;
+    EXPECT_FALSE(couldShareSnapshot(base, one_thread));
+
+    Scenario instrumented = base;
+    instrumented.instrumentation = true;
+    EXPECT_FALSE(couldShareSnapshot(base, instrumented));
 }
 
 TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
@@ -315,7 +323,7 @@ TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
     for (int i = 0; i < 256; ++i) {
         Scenario a = sampleScenario(rng);
         Scenario b = a;
-        switch (rng.uniformInt(0, 4)) {
+        switch (rng.uniformInt(0, 6)) {
           case 0:
             b.streaming = !b.streaming;
             break;
@@ -327,6 +335,12 @@ TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
             break;
           case 3:
             b.cpuLoadProcesses = a.cpuLoadProcesses == 0 ? 2 : 0;
+            break;
+          case 4:
+            b.threads = a.threads == 4 ? 1 : 4;
+            break;
+          case 5:
+            b.instrumentation = !b.instrumentation;
             break;
           default:
             b.mode = a.mode == app::HarnessMode::CliBenchmark
@@ -396,6 +410,44 @@ TEST(Differential, ForkStreamShapesHitSnapshotCache)
         const auto stats = sweep::snapshotCacheStatsNow();
         EXPECT_EQ(stats.stores, 1u) << s.describe();
         EXPECT_GE(stats.hits, 1u) << s.describe();
+    }
+    sweep::snapshotCacheClearForTest();
+}
+
+/**
+ * The bench-only knobs: a CLI-benchmark run with one CPU thread and
+ * the driver instrumentation probe on (the shapes of fig5's CPU-1T row
+ * and probe_effect's instrumented rows) is byte-identical across
+ * Reference, a Fast miss and a Fast hit — and differs from its
+ * default-knob twin, so the knobs really reach the pipeline.
+ */
+TEST(Differential, ThreadsAndInstrumentationReplayByteIdentical)
+{
+    for (const auto fw :
+         {app::FrameworkKind::TfliteCpu, app::FrameworkKind::TfliteHexagon}) {
+        sweep::snapshotCacheClearForTest();
+        Scenario s;
+        s.mode = app::HarnessMode::CliBenchmark;
+        s.dtype = tensor::DType::UInt8;
+        s.framework = fw;
+        s.runs = 4;
+        s.seed = 7;
+        Scenario twin = s;
+        s.threads = 1;
+        s.instrumentation = true;
+        ASSERT_TRUE(scenarioValid(s)) << s.describe();
+        ASSERT_EQ(classifySnapshotUse(s), SnapshotUse::Eligible);
+
+        const std::string ref =
+            resultBytes(runScenario(s, sim::EngineMode::Reference));
+        EXPECT_EQ(ref, resultBytes(runScenario(s, sim::EngineMode::Fast)))
+            << "miss pass: " << s.describe();
+        EXPECT_EQ(ref, resultBytes(runScenario(s, sim::EngineMode::Fast)))
+            << "hit pass: " << s.describe();
+        EXPECT_GE(sweep::snapshotCacheStatsNow().hits, 1u) << s.describe();
+        EXPECT_NE(ref, resultBytes(runScenario(
+                           twin, sim::EngineMode::Reference)))
+            << s.describe();
     }
     sweep::snapshotCacheClearForTest();
 }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "soc/chipsets.h"
 #include "verify/invariants.h"
@@ -131,6 +133,63 @@ TEST(ScenarioValidity, RejectsImpossibleCombinations)
 
     s.runs = 0;
     EXPECT_FALSE(scenarioValid(s));
+}
+
+TEST(ScenarioLabel, BenchKnobsAppearOnlyWhenNotDefault)
+{
+    Scenario s;
+    s.runs = 4;
+    s.seed = 3;
+    const std::string label = s.label();
+    const std::string described = s.describe();
+    EXPECT_EQ(label, "mobilenet_v1_sd845_fp32_tflite_cpu_android_app_r4_s3");
+    EXPECT_EQ(described.find("thread"), std::string::npos) << described;
+    EXPECT_EQ(described.find("instrumentation"), std::string::npos)
+        << described;
+
+    Scenario knobs = s;
+    knobs.threads = 1;
+    knobs.instrumentation = true;
+    EXPECT_EQ(knobs.label(),
+              "mobilenet_v1_sd845_fp32_tflite_cpu_android_app_r4_t1_instr_s3");
+    EXPECT_NE(knobs.describe().find("threads=1"), std::string::npos);
+    EXPECT_NE(knobs.describe().find("instrumentation"), std::string::npos);
+}
+
+/**
+ * An invalid scenario is refused in every build type with
+ * std::invalid_argument naming it, before any system is built.
+ */
+TEST(ScenarioRunner, InvalidScenarioThrows)
+{
+    Scenario unknown_model;
+    unknown_model.modelId = "no_such_model";
+    Scenario hexagon_fp32;
+    hexagon_fp32.framework = FrameworkKind::TfliteHexagon;
+    hexagon_fp32.dtype = DType::Float32;
+    Scenario no_runs;
+    no_runs.runs = 0;
+
+    for (const Scenario &s : {unknown_model, hexagon_fp32, no_runs}) {
+        ASSERT_FALSE(scenarioValid(s)) << s.describe();
+        for (auto engine :
+             {sim::EngineMode::Fast, sim::EngineMode::Reference}) {
+            try {
+                runScenario(s, engine);
+                ADD_FAILURE() << "no throw: " << s.describe();
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(s.describe()),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        EXPECT_THROW(ScenarioRun(s, sim::EngineMode::Fast),
+                     std::invalid_argument);
+    }
+    // The arena is untouched: a valid run still works afterwards.
+    Scenario ok;
+    ok.runs = 2;
+    EXPECT_EQ(runScenario(ok).report.runs(), 2u);
 }
 
 TEST(ScenarioRunner, CollectsReportAndWitnesses)
