@@ -10,53 +10,16 @@
  */
 
 #include <iostream>
+#include <iterator>
+#include <vector>
 
 #include "bench/multitenancy_common.h"
 
-namespace {
-
-using namespace aitax;
-
-core::TaxReport
-runFabric(bool contention, int bg_processes)
-{
-    auto platform = soc::makeSnapdragon845();
-    platform.fabric.contentionEnabled = contention;
-    soc::SocSystem sys(platform, 7);
-
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("mobilenet_v1");
-    cfg.dtype = tensor::DType::UInt8;
-    cfg.framework = app::FrameworkKind::TfliteHexagon;
-    cfg.mode = app::HarnessMode::AndroidApp;
-    app::Application application(sys, cfg);
-
-    std::vector<std::unique_ptr<app::BackgroundInferenceLoop>> loops;
-    for (int i = 0; i < bg_processes; ++i) {
-        app::BackgroundLoadConfig bg;
-        bg.model = models::findModel("mobilenet_v1");
-        bg.dtype = tensor::DType::UInt8;
-        bg.framework = app::FrameworkKind::TfliteCpu;
-        bg.processId = 100 + i;
-        loops.push_back(
-            std::make_unique<app::BackgroundInferenceLoop>(sys, bg));
-        loops.back()->start(sim::secToNs(120.0));
-    }
-
-    core::TaxReport report;
-    application.scheduleRuns(40, report, [&](sim::TimeNs) {
-        for (auto &loop : loops)
-            loop->stop();
-    });
-    sys.run();
-    return report;
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace aitax;
+    bench::initBench(argc, argv);
     bench::heading(
         "Ablation: AXI fabric contention under CPU multi-tenancy "
         "(DSP-resident inference, CPU background load)",
@@ -67,16 +30,30 @@ main()
         "CPU pre-processing derates visibly as clients multiply — "
         "contention relocates the tax rather than scaling everything");
 
-    aitax::stats::Table table(
+    // Fig 10's configuration, each load level with the fabric private
+    // (even index) and contended (odd index).
+    const int counts[] = {0, 2, 4, 8};
+    std::vector<verify::Scenario> specs;
+    for (int n : counts) {
+        for (bool contention : {false, true}) {
+            verify::Scenario spec = bench::multitenancyScenario();
+            spec.cpuLoadProcesses = n;
+            spec.fabricContention = contention;
+            specs.push_back(spec);
+        }
+    }
+    const auto reports = bench::runSpecs(specs);
+
+    stats::Table table(
         {"background CPU inferences", "pre-proc private (ms)",
          "pre-proc contended (ms)", "inference private (ms)",
          "inference contended (ms)", "E2E private (ms)",
          "E2E contended (ms)"});
-    for (int n : {0, 2, 4, 8}) {
-        const auto off = runFabric(false, n);
-        const auto on = runFabric(true, n);
+    for (std::size_t i = 0; i < std::size(counts); ++i) {
+        const auto &off = reports[2 * i];
+        const auto &on = reports[2 * i + 1];
         table.addRow(
-            {std::to_string(n),
+            {std::to_string(counts[i]),
              bench::fmtMs(off.stageMeanMs(core::Stage::PreProcessing)),
              bench::fmtMs(on.stageMeanMs(core::Stage::PreProcessing)),
              bench::fmtMs(off.stageMeanMs(core::Stage::Inference)),

@@ -15,45 +15,11 @@
 
 #include "bench/bench_common.h"
 
-namespace {
-
-using namespace aitax;
-
-struct Outcome
-{
-    double first_ms;
-    double steady_ms;
-    double mean_at_5;
-};
-
-Outcome
-runCoupling(bool tight)
-{
-    auto platform = soc::makeSnapdragon845();
-    platform.dsp.tightlyCoupled = tight;
-    soc::SocSystem sys(platform, 7);
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("mobilenet_v1");
-    cfg.dtype = tensor::DType::UInt8;
-    cfg.framework = app::FrameworkKind::TfliteHexagon;
-    cfg.mode = app::HarnessMode::CliBenchmark;
-    app::Application application(sys, cfg);
-    core::TaxReport report;
-    application.scheduleRuns(100, report);
-    sys.run();
-
-    const auto &inf = report.stage(core::Stage::Inference).raw();
-    double first5 = 0.0;
-    for (int i = 0; i < 5; ++i)
-        first5 += inf[static_cast<std::size_t>(i)];
-    return {inf.front(), inf.back(), first5 / 5.0};
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace aitax;
+    bench::initBench(argc, argv);
     bench::heading(
         "Ablation: accelerator integration model (MobileNet v1 int8 on "
         "the DSP)",
@@ -62,23 +28,28 @@ main()
         "per-call kernel round trips; tight coupling has neither, so "
         "its first inference already runs at steady state");
 
-    const auto loose = runCoupling(false);
-    const auto tight = runCoupling(true);
+    verify::Scenario spec = bench::scenario();
+    spec.dtype = tensor::DType::UInt8;
+    spec.framework = app::FrameworkKind::TfliteHexagon;
+    spec.runs = 100;
+    verify::Scenario tight_spec = spec;
+    tight_spec.dspTightlyCoupled = true;
+    const auto reports = bench::runSpecs({spec, tight_spec});
 
-    aitax::stats::Table table({"Integration", "1st inference (ms)",
-                               "mean of first 5 (ms)",
-                               "steady inference (ms)",
-                               "cold-start penalty (ms)"});
-    table.addRow({"loosely coupled (FastRPC)",
-                  bench::fmtMs(loose.first_ms),
-                  bench::fmtMs(loose.mean_at_5),
-                  bench::fmtMs(loose.steady_ms),
-                  bench::fmtMs(loose.first_ms - loose.steady_ms)});
-    table.addRow({"tightly coupled (cache-coherent)",
-                  bench::fmtMs(tight.first_ms),
-                  bench::fmtMs(tight.mean_at_5),
-                  bench::fmtMs(tight.steady_ms),
-                  bench::fmtMs(tight.first_ms - tight.steady_ms)});
+    stats::Table table({"Integration", "1st inference (ms)",
+                        "mean of first 5 (ms)", "steady inference (ms)",
+                        "cold-start penalty (ms)"});
+    const char *names[] = {"loosely coupled (FastRPC)",
+                           "tightly coupled (cache-coherent)"};
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const auto &inf = reports[i].stage(core::Stage::Inference).raw();
+        double first5 = 0.0;
+        for (std::size_t k = 0; k < 5; ++k)
+            first5 += inf[k];
+        table.addRow({names[i], bench::fmtMs(inf.front()),
+                      bench::fmtMs(first5 / 5.0), bench::fmtMs(inf.back()),
+                      bench::fmtMs(inf.front() - inf.back())});
+    }
     table.render(std::cout);
     std::printf("\nSteady-state difference comes from the per-call "
                 "kernel hops and cache flush the tightly coupled "

@@ -16,32 +16,11 @@
 
 #include "bench/bench_common.h"
 
-namespace {
-
-using namespace aitax;
-
-core::TaxReport
-runConfig(bool pre_on_dsp, app::FrameworkKind inference_fw)
-{
-    soc::SocSystem sys(soc::makeSnapdragon845(), 7);
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("mobilenet_v1");
-    cfg.dtype = tensor::DType::UInt8;
-    cfg.framework = inference_fw;
-    cfg.mode = app::HarnessMode::AndroidApp;
-    cfg.preprocessOnDsp = pre_on_dsp;
-    app::Application application(sys, cfg);
-    core::TaxReport report;
-    application.scheduleRuns(200, report);
-    sys.run();
-    return report;
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace aitax;
+    bench::initBench(argc, argv);
     bench::heading(
         "Ablation: pre-processing on CPU (managed runtime) vs fused on "
         "the DSP (FastCV-like)",
@@ -57,31 +36,39 @@ main()
     {
         const char *placement;
         bool pre_on_dsp;
-        aitax::app::FrameworkKind inference;
+        app::FrameworkKind inference;
     };
     const Row rows[] = {
-        {"pre CPU, inference CPU", false,
-         aitax::app::FrameworkKind::TfliteCpu},
-        {"pre DSP, inference CPU", true,
-         aitax::app::FrameworkKind::TfliteCpu},
+        {"pre CPU, inference CPU", false, app::FrameworkKind::TfliteCpu},
+        {"pre DSP, inference CPU", true, app::FrameworkKind::TfliteCpu},
         {"pre CPU, inference DSP", false,
-         aitax::app::FrameworkKind::TfliteHexagon},
-        {"pre DSP, inference DSP", true,
-         aitax::app::FrameworkKind::TfliteHexagon},
+         app::FrameworkKind::TfliteHexagon},
+        {"pre DSP, inference DSP", true, app::FrameworkKind::TfliteHexagon},
     };
 
-    aitax::stats::Table table({"Placement", "capture (ms)",
-                               "pre-proc (ms)", "inference (ms)",
-                               "E2E (ms)", "AI tax share"});
+    std::vector<verify::Scenario> specs;
     for (const auto &row : rows) {
-        const auto r = runConfig(row.pre_on_dsp, row.inference);
+        verify::Scenario spec = bench::scenario();
+        spec.mode = app::HarnessMode::AndroidApp;
+        spec.dtype = tensor::DType::UInt8;
+        spec.framework = row.inference;
+        spec.preprocessOnDsp = row.pre_on_dsp;
+        spec.runs = 200;
+        specs.push_back(spec);
+    }
+    const auto reports = bench::runSpecs(specs);
+
+    stats::Table table({"Placement", "capture (ms)", "pre-proc (ms)",
+                        "inference (ms)", "E2E (ms)", "AI tax share"});
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto &r = reports[i];
         table.addRow(
-            {row.placement,
+            {rows[i].placement,
              bench::fmtMs(r.stageMeanMs(core::Stage::DataCapture)),
              bench::fmtMs(r.stageMeanMs(core::Stage::PreProcessing)),
              bench::fmtMs(r.stageMeanMs(core::Stage::Inference)),
              bench::fmtMs(r.endToEndMeanMs()),
-             aitax::stats::Table::pct(r.aiTaxFraction() * 100.0, 1)});
+             stats::Table::pct(r.aiTaxFraction() * 100.0, 1)});
     }
     table.render(std::cout);
     return 0;

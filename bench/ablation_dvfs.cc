@@ -33,6 +33,7 @@ runWithGap(bool dvfs_enabled, sim::DurationNs gap)
 {
     auto platform = soc::makeSnapdragon845();
     platform.dvfs.enabled = dvfs_enabled;
+    // Idle gaps let DVFS decay. aitax-lint: allow(hand-built-system)
     soc::SocSystem sys(platform, 7);
 
     app::PipelineConfig cfg;

@@ -29,6 +29,7 @@ runWithRpc(const soc::FastRpcConfig &rpc)
 {
     auto platform = soc::makeSnapdragon845();
     platform.fastrpc = rpc;
+    // Typed FastRpcConfig sweep. aitax-lint: allow(hand-built-system)
     soc::SocSystem sys(platform, 7);
     app::PipelineConfig cfg;
     cfg.model = models::findModel("mobilenet_v1");

@@ -18,28 +18,22 @@ namespace {
 
 using namespace aitax;
 
-core::TaxReport
-runCapture(const char *model, tensor::DType dtype, bool streaming,
-           bool pre_on_dsp = false)
+/** The MobileNet v1 int8 camera app with inference on the DSP. */
+verify::Scenario
+captureScenario(bool streaming, bool pre_on_dsp)
 {
-    soc::SocSystem sys(soc::makeSnapdragon845(), 7);
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel(model);
-    cfg.dtype = dtype;
-    cfg.framework = app::FrameworkKind::TfliteHexagon;
-    cfg.mode = app::HarnessMode::AndroidApp;
-    cfg.streamingCapture = streaming;
-    cfg.preprocessOnDsp = pre_on_dsp;
-    app::Application application(sys, cfg);
-    core::TaxReport report;
-    application.scheduleRuns(200, report);
-    sys.run();
-    return report;
+    verify::Scenario s = bench::scenario();
+    s.mode = app::HarnessMode::AndroidApp;
+    s.dtype = tensor::DType::UInt8;
+    s.framework = app::FrameworkKind::TfliteHexagon;
+    s.streaming = streaming;
+    s.preprocessOnDsp = pre_on_dsp;
+    s.runs = 200;
+    return s;
 }
 
 void
-addRow(aitax::stats::Table &table, const char *name,
-       const core::TaxReport &r)
+addRow(stats::Table &table, const char *name, const core::TaxReport &r)
 {
     table.addRow(
         {name, bench::fmtMs(r.stageMeanMs(core::Stage::DataCapture)),
@@ -53,8 +47,9 @@ addRow(aitax::stats::Table &table, const char *name,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::initBench(argc, argv);
     bench::heading(
         "Ablation: on-demand vs streaming capture (MobileNet v1 int8, "
         "inference on the DSP)",
@@ -69,12 +64,12 @@ main()
     aitax::stats::Table table({"Capture strategy", "capture (ms)",
                                "pre-proc (ms)", "inference (ms)",
                                "E2E (ms)", "eff. fps", "AI tax share"});
-    addRow(table, "on-demand (paper's apps)",
-           runCapture("mobilenet_v1", tensor::DType::UInt8, false));
-    addRow(table, "streaming (depth-1 buffer)",
-           runCapture("mobilenet_v1", tensor::DType::UInt8, true));
-    addRow(table, "streaming + DSP pre-processing",
-           runCapture("mobilenet_v1", tensor::DType::UInt8, true, true));
+    const auto reports = bench::runSpecs({captureScenario(false, false),
+                                          captureScenario(true, false),
+                                          captureScenario(true, true)});
+    addRow(table, "on-demand (paper's apps)", reports[0]);
+    addRow(table, "streaming (depth-1 buffer)", reports[1]);
+    addRow(table, "streaming + DSP pre-processing", reports[2]);
     table.render(std::cout);
     std::printf("\nNote the last row: with pre-processing gone the "
                 "pipeline outruns the 30 fps sensor, so the capture "

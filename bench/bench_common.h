@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -82,15 +83,29 @@ initBench(int &argc, char **argv)
 }
 
 /**
- * Run a batch of independent configurations on the sweep pool.
- * Results are in submission order regardless of the worker count.
+ * Run a batch of independent configurations on the sweep pool, keeping
+ * every result field but the trace (energy, FastRPC log, ...). Results
+ * are in submission order regardless of the worker count.
  */
+inline std::vector<verify::ScenarioResult>
+runResults(const std::vector<verify::Scenario> &specs)
+{
+    sweep::SweepRunner runner(benchJobs());
+    return runner.map<verify::ScenarioResult>(
+        specs.size(), [&](std::size_t i) {
+            return verify::runScenario(specs[i], sim::EngineMode::Fast,
+                                       verify::ResultRequest::ReportOnly);
+        });
+}
+
+/** runResults, keeping only each configuration's report. */
 inline std::vector<core::TaxReport>
 runSpecs(const std::vector<verify::Scenario> &specs)
 {
-    sweep::SweepRunner runner(benchJobs());
-    return runner.map<core::TaxReport>(
-        specs.size(), [&](std::size_t i) { return runSpec(specs[i]); });
+    std::vector<core::TaxReport> reports;
+    for (auto &r : runResults(specs))
+        reports.push_back(std::move(r.report));
+    return reports;
 }
 
 /** Print a section heading with the paper reference. */

@@ -13,47 +13,11 @@
 
 #include "bench/bench_common.h"
 
-namespace {
-
-using namespace aitax;
-
-struct EnergyOutcome
-{
-    double e2e_ms;
-    double mj_per_inference;
-    double big_mj;
-    double little_mj;
-    double gpu_mj;
-    double dsp_mj;
-};
-
-EnergyOutcome
-runEnergy(app::FrameworkKind fw, tensor::DType dtype, int runs)
-{
-    soc::SocSystem sys(soc::makeSnapdragon845(), 7);
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("mobilenet_v1");
-    cfg.dtype = dtype;
-    cfg.framework = fw;
-    cfg.mode = app::HarnessMode::AndroidApp;
-    cfg.suppressInterference = true; // meter only the pipeline
-    app::Application application(sys, cfg);
-    core::TaxReport report;
-    application.scheduleRuns(runs, report);
-    sys.run();
-    const auto &meter = sys.energy();
-    return {report.endToEndMeanMs(), meter.totalMj() / runs,
-            meter.domainMj(soc::PowerDomain::BigCpu) / runs,
-            meter.domainMj(soc::PowerDomain::LittleCpu) / runs,
-            meter.domainMj(soc::PowerDomain::Gpu) / runs,
-            meter.domainMj(soc::PowerDomain::Dsp) / runs};
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace aitax;
+    bench::initBench(argc, argv);
     bench::heading(
         "Extension: energy per end-to-end inference (MobileNet v1, "
         "camera app, interference suppressed)",
@@ -66,34 +30,46 @@ main()
     struct Row
     {
         const char *name;
-        aitax::app::FrameworkKind fw;
-        aitax::tensor::DType dtype;
+        app::FrameworkKind fw;
+        tensor::DType dtype;
     };
     const Row rows[] = {
-        {"CPU 4T fp32", aitax::app::FrameworkKind::TfliteCpu,
-         aitax::tensor::DType::Float32},
-        {"CPU 4T int8", aitax::app::FrameworkKind::TfliteCpu,
-         aitax::tensor::DType::UInt8},
-        {"GPU delegate fp32", aitax::app::FrameworkKind::TfliteGpu,
-         aitax::tensor::DType::Float32},
-        {"Hexagon delegate int8",
-         aitax::app::FrameworkKind::TfliteHexagon,
-         aitax::tensor::DType::UInt8},
-        {"SNPE DSP int8", aitax::app::FrameworkKind::SnpeDsp,
-         aitax::tensor::DType::UInt8},
+        {"CPU 4T fp32", app::FrameworkKind::TfliteCpu,
+         tensor::DType::Float32},
+        {"CPU 4T int8", app::FrameworkKind::TfliteCpu,
+         tensor::DType::UInt8},
+        {"GPU delegate fp32", app::FrameworkKind::TfliteGpu,
+         tensor::DType::Float32},
+        {"Hexagon delegate int8", app::FrameworkKind::TfliteHexagon,
+         tensor::DType::UInt8},
+        {"SNPE DSP int8", app::FrameworkKind::SnpeDsp,
+         tensor::DType::UInt8},
     };
 
-    aitax::stats::Table table({"Backend", "E2E (ms)",
-                               "energy (mJ/inference)", "big CPU",
-                               "little CPU", "GPU", "DSP"});
+    constexpr int kEnergyRuns = 200;
+    std::vector<verify::Scenario> specs;
     for (const auto &row : rows) {
-        const auto o = runEnergy(row.fw, row.dtype, 200);
-        table.addRow({row.name, bench::fmtMs(o.e2e_ms),
-                      aitax::stats::Table::num(o.mj_per_inference, 2),
-                      aitax::stats::Table::num(o.big_mj, 2),
-                      aitax::stats::Table::num(o.little_mj, 2),
-                      aitax::stats::Table::num(o.gpu_mj, 2),
-                      aitax::stats::Table::num(o.dsp_mj, 2)});
+        verify::Scenario spec = bench::scenario();
+        spec.mode = app::HarnessMode::AndroidApp;
+        spec.framework = row.fw;
+        spec.dtype = row.dtype;
+        spec.suppressInterference = true; // meter only the pipeline
+        spec.runs = kEnergyRuns;
+        specs.push_back(spec);
+    }
+    const auto results = bench::runResults(specs);
+
+    // Columns after the total follow soc::kAllPowerDomains.
+    stats::Table table({"Backend", "E2E (ms)", "energy (mJ/inference)",
+                        "big CPU", "little CPU", "GPU", "DSP"});
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto &r = results[i];
+        std::vector<std::string> cells = {
+            rows[i].name, bench::fmtMs(r.report.endToEndMeanMs()),
+            stats::Table::num(r.energyMj / kEnergyRuns, 2)};
+        for (double mj : r.domainMj)
+            cells.push_back(stats::Table::num(mj / kEnergyRuns, 2));
+        table.addRow(std::move(cells));
     }
     table.render(std::cout);
     return 0;

@@ -8,9 +8,10 @@
 #include "bench/multitenancy_common.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace aitax;
+    bench::initBench(argc, argv);
     bench::heading(
         "Fig 10: multi-tenancy with background inferences on the CPU",
         "Fig 10 (same experimental setup as Fig 9 except background "
@@ -20,7 +21,7 @@ main()
         "uncontended)");
 
     bench::multitenancySweep(
-        app::FrameworkKind::TfliteCpu,
+        &verify::Scenario::cpuLoadProcesses,
         "foreground app on DSP, background inferences on CPU");
     return 0;
 }

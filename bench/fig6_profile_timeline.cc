@@ -19,6 +19,7 @@ void
 runAndRender(app::FrameworkKind fw, const char *title,
              bool dsp_probe_at_start)
 {
+    // FastRPC probe + timeline. aitax-lint: allow(hand-built-system)
     soc::SocSystem sys(soc::makeSnapdragon845(), 7);
     app::PipelineConfig cfg;
     cfg.model = models::findModel("efficientnet_lite0");

@@ -7,9 +7,10 @@
 #include "bench/multitenancy_common.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace aitax;
+    bench::initBench(argc, argv);
     bench::heading(
         "Fig 9: multi-tenancy with background inferences on the DSP",
         "Fig 9 (latency breakdown of the image classification app when "
@@ -20,7 +21,7 @@ main()
         "approximately constant");
 
     bench::multitenancySweep(
-        app::FrameworkKind::TfliteHexagon,
+        &verify::Scenario::dspLoadProcesses,
         "foreground app on DSP, background inferences on DSP");
     return 0;
 }

@@ -7,64 +7,52 @@
 #define AITAX_BENCH_MULTITENANCY_COMMON_H
 
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "app/background_load.h"
 #include "bench/bench_common.h"
 
 namespace aitax::bench {
 
 /**
- * Run the quantized MobileNet classification app (inference on the
- * Hexagon DSP) with @p bg_processes background inference loops on
- * @p bg_framework.
+ * The quantized MobileNet classification app with inference on the
+ * Hexagon DSP, 40 frames. Background inference loops are added by
+ * setting dspLoadProcesses (Fig 9) or cpuLoadProcesses (Fig 10).
  */
-inline core::TaxReport
-runWithBackgroundLoad(app::FrameworkKind bg_framework, int bg_processes,
-                      int runs, std::uint64_t seed = 7)
+inline verify::Scenario
+multitenancyScenario()
 {
-    soc::SocSystem sys(soc::makeSnapdragon845(), seed);
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("mobilenet_v1");
-    cfg.dtype = tensor::DType::UInt8;
-    cfg.framework = app::FrameworkKind::TfliteHexagon;
-    cfg.mode = app::HarnessMode::AndroidApp;
-    app::Application application(sys, cfg);
-
-    std::vector<std::unique_ptr<app::BackgroundInferenceLoop>> loops;
-    for (int i = 0; i < bg_processes; ++i) {
-        app::BackgroundLoadConfig bg;
-        bg.model = models::findModel("mobilenet_v1");
-        bg.dtype = tensor::DType::UInt8;
-        bg.framework = bg_framework;
-        bg.processId = 100 + i;
-        loops.push_back(
-            std::make_unique<app::BackgroundInferenceLoop>(sys, bg));
-        loops.back()->start(sim::secToNs(120.0));
-    }
-
-    core::TaxReport report;
-    application.scheduleRuns(runs, report, [&](sim::TimeNs) {
-        for (auto &loop : loops)
-            loop->stop();
-    });
-    sys.run();
-    return report;
+    verify::Scenario s = scenario();
+    s.mode = app::HarnessMode::AndroidApp;
+    s.dtype = tensor::DType::UInt8;
+    s.framework = app::FrameworkKind::TfliteHexagon;
+    s.runs = 40;
+    return s;
 }
 
-/** Print the Fig 9/10-style breakdown sweep over background counts. */
+/**
+ * Print the Fig 9/10-style breakdown sweep over background counts;
+ * @p load_processes selects which load field the sweep sets.
+ */
 inline void
-multitenancySweep(app::FrameworkKind bg_framework, const char *title)
+multitenancySweep(int verify::Scenario::*load_processes,
+                  const char *title)
 {
+    const int counts[] = {0, 1, 2, 4, 6, 8};
+    std::vector<verify::Scenario> specs;
+    for (int n : counts) {
+        specs.push_back(multitenancyScenario());
+        specs.back().*load_processes = n;
+    }
+    const auto reports = runSpecs(specs);
+
     std::printf("--- %s ---\n", title);
     stats::Table table({"background inferences", "capture (ms)",
                         "pre-proc (ms)", "inference (ms)", "post (ms)",
                         "E2E (ms)"});
-    for (int n : {0, 1, 2, 4, 6, 8}) {
-        const auto r = runWithBackgroundLoad(bg_framework, n, 40);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto &r = reports[i];
         table.addRow(
-            {std::to_string(n),
+            {std::to_string(counts[i]),
              fmtMs(r.stageMeanMs(core::Stage::DataCapture)),
              fmtMs(r.stageMeanMs(core::Stage::PreProcessing)),
              fmtMs(r.stageMeanMs(core::Stage::Inference)),

@@ -194,6 +194,7 @@ benchScenarioProbe()
     cfg.mode = app::HarnessMode::AndroidApp;
 
     auto run_once = [&](bool tracing) {
+        // Tracer switched off. aitax-lint: allow(hand-built-system)
         soc::SocSystem sys(platform, /*seed=*/7);
         sys.tracer().setEnabled(tracing);
         app::Application application(sys, cfg);

@@ -32,10 +32,10 @@ void
 emit(std::vector<Finding> &out, const FileContext &f, int line,
      std::string_view rule, std::string message, std::string hint)
 {
-    // One finding per (line, rule): several matches on a line are one
-    // violation to fix.
+    // One finding per (file, line, rule): several matches on a line
+    // are one violation to fix. @p out spans every file of a tree.
     for (const Finding &prev : out)
-        if (prev.line == line && prev.rule == rule)
+        if (prev.line == line && prev.rule == rule && prev.file == f.path)
             return;
     out.push_back({f.path, line, std::string(rule), std::move(message),
                    std::move(hint)});
@@ -621,6 +621,23 @@ checkIncludeHygiene(const FileContext &f, std::vector<Finding> &out)
     }
 }
 
+// --- hand-built-system -------------------------------------------------
+
+void
+checkHandBuiltSystem(const FileContext &f, std::vector<Finding> &out)
+{
+    if (!f.startsWith("bench/") && !f.startsWith("tools/"))
+        return;
+    // `SocSystem &`, `*` or `::` names a system built elsewhere.
+    for (std::size_t i = 0; i < f.code.size(); ++i)
+        if (isIdent(f.code[i], "SocSystem") && !nextIs(f.code, i, "&") &&
+            !nextIs(f.code, i, "*") && !nextIs(f.code, i, "::"))
+            emit(out, f, f.code[i].line, "hand-built-system",
+                 "soc::SocSystem built by hand",
+                 "run it through verify::ScenarioRun (bench::runSpecs); "
+                 "a site that cannot gives its reason in an allow marker");
+}
+
 const std::vector<Rule> kRules = {
     {"float-accum",
      "no float accumulation / unordered reductions in report fields",
@@ -633,6 +650,10 @@ const std::vector<Rule> kRules = {
      "AITAX_GUARDED_BY makes the lock protocol explicit and lets "
      "clang -Wthread-safety verify every access",
      checkGuardedMutex},
+    {"hand-built-system",
+     "bench/ and tools/ run scenarios through verify::ScenarioRun",
+     "a hand-built soc::SocSystem is a run path the runner's tests miss",
+     checkHandBuiltSystem},
     {"header-guard",
      "headers carry a canonical AITAX_* include guard or #pragma once",
      "duplicate/mismatched guards cause ODR surprises and silently "

@@ -45,6 +45,14 @@ Scenario::label() const
         os << "_t" << threads;
     if (instrumentation)
         os << "_instr";
+    if (preprocessOnDsp)
+        os << "_predsp";
+    if (suppressInterference)
+        os << "_quiet";
+    if (fabricContention)
+        os << "_axi";
+    if (dspTightlyCoupled)
+        os << "_tight";
     os << "_s" << seed;
     std::string out = os.str();
     for (char &c : out)
@@ -70,6 +78,14 @@ Scenario::describe() const
         os << ", threads=" << threads;
     if (instrumentation)
         os << ", instrumentation";
+    if (preprocessOnDsp)
+        os << ", preprocess on DSP";
+    if (suppressInterference)
+        os << ", interference suppressed";
+    if (fabricContention)
+        os << ", fabric contention";
+    if (dspTightlyCoupled)
+        os << ", tightly coupled DSP";
     os << ", seed=" << seed;
     return os.str();
 }
@@ -179,7 +195,11 @@ snapshotKey(const Scenario &s)
        << "|dspload=" << s.dspLoadProcesses
        << "|cpuload=" << s.cpuLoadProcesses
        << "|faults=" << (s.faults ? 1 : 0) << "|threads=" << s.threads
-       << "|instr=" << (s.instrumentation ? 1 : 0);
+       << "|instr=" << (s.instrumentation ? 1 : 0)
+       << "|predsp=" << (s.preprocessOnDsp ? 1 : 0)
+       << "|quiet=" << (s.suppressInterference ? 1 : 0)
+       << "|axi=" << (s.fabricContention ? 1 : 0)
+       << "|tight=" << (s.dspTightlyCoupled ? 1 : 0);
     return os.str();
 }
 
@@ -203,6 +223,17 @@ pipelineConfigFor(const Scenario &s)
     cfg.threads = s.threads;
     cfg.instrumentationEnabled = s.instrumentation;
     cfg.streamingCapture = s.streaming;
+    cfg.preprocessOnDsp = s.preprocessOnDsp;
+    cfg.suppressInterference = s.suppressInterference;
+    return cfg;
+}
+
+soc::SocConfig
+socConfigFor(const Scenario &s)
+{
+    soc::SocConfig cfg = soc::platformByName(s.socName);
+    cfg.fabric.contentionEnabled = s.fabricContention;
+    cfg.dsp.tightlyCoupled = s.dspTightlyCoupled;
     return cfg;
 }
 
@@ -246,6 +277,8 @@ collectResult(soc::SocSystem &sys, app::Application &application,
     if (sys.faults() != nullptr)
         out.faultStats = sys.faults()->stats();
     out.energyMj = sys.energy().totalMj();
+    for (std::size_t i = 0; i < soc::kAllPowerDomains.size(); ++i)
+        out.domainMj[i] = sys.energy().domainMj(soc::kAllPowerDomains[i]);
     out.thermalSpeedFactor = sys.thermal().speedFactor();
     out.eventsExecuted = sys.simulator().eventsExecuted();
     out.frontCacheHits = sys.simulator().frontCacheHits();
@@ -302,7 +335,7 @@ ScenarioRun::ScenarioRun(const Scenario &s, sim::EngineMode engine)
     : s_(checkedScenario(s)), engine_(engine),
       arenaGuard_(scenarioArena()),
       sys_(*scenarioArena().create<soc::SocSystem>(
-          soc::platformByName(s.socName), s.seed, engine,
+          socConfigFor(s), s.seed, engine,
           &scenarioArena())),
       seqBase_(armFaultsForSnapshot(sys_, s)),
       application_(*scenarioArena().create<app::Application>(

@@ -12,6 +12,7 @@
 #ifndef AITAX_VERIFY_SCENARIO_H
 #define AITAX_VERIFY_SCENARIO_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "faults/injector.h"
 #include "sim/arena.h"
 #include "sim/random.h"
+#include "soc/energy.h"
 #include "soc/fastrpc.h"
 
 namespace aitax::app {
@@ -52,6 +54,14 @@ struct Scenario
      * sampled; the probe-effect bench sets it.
      */
     bool instrumentation = false;
+    /** Pre-processing fused on the DSP (PipelineConfig). Never sampled. */
+    bool preprocessOnDsp = false;
+    /** App-mode interference off (PipelineConfig). Never sampled. */
+    bool suppressInterference = false;
+    /** Contended memory fabric (SocConfig). Never sampled. */
+    bool fabricContention = false;
+    /** Tightly coupled DSP (SocConfig). Never sampled. */
+    bool dspTightlyCoupled = false;
     /**
      * Arm the seeded fault injector (FaultConfig::fuzzDefaults()).
      * Never sampled — only `aitax_cli verify --faults` sets it, so the
@@ -109,6 +119,8 @@ struct ScenarioResult
     sim::TimeNs endTimeNs = 0;
     /** Total energy over the run. */
     double energyMj = 0.0;
+    /** Energy per power domain, indexed like soc::kAllPowerDomains. */
+    std::array<double, soc::kAllPowerDomains.size()> domainMj{};
     /** Thermal clock multiplier at the end of the run, in (0, 1]. */
     double thermalSpeedFactor = 1.0;
     /** Background inferences completed across all load processes. */

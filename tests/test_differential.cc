@@ -11,8 +11,8 @@
  * engines, with faults armed, and on snapshot misses and hits.
  *
  * Also the negative side of the memoization contract: scenarios that
- * share a warm-up prefix but diverge in streaming, faults or
- * background load must never share a snapshot, either because the
+ * share a warm-up prefix but diverge in streaming, faults, background
+ * load or a bench knob must never share a snapshot, either because the
  * divergent field is part of the cache key or because the scenario is
  * classified ineligible outright.
  */
@@ -86,7 +86,8 @@ differentialCorpus(bool faults)
 /**
  * Serialize everything a scenario produces except the Chrome trace
  * into one comparable byte string: the TaxReport CSV, the scalar
- * witnesses, every FastRPC breakdown field and every fault tally.
+ * witnesses, the per-domain energy, every FastRPC breakdown field and
+ * every fault tally.
  */
 std::string
 reportBytes(const ScenarioResult &r)
@@ -97,6 +98,9 @@ reportBytes(const ScenarioResult &r)
     os << "|end=" << r.endTimeNs << "|energy=" << r.energyMj
        << "|thermal=" << r.thermalSpeedFactor
        << "|bg=" << r.backgroundInferences;
+    os << "|domains=";
+    for (double mj : r.domainMj)
+        os << mj << ",";
     os << "|rpc=" << r.rpcLog.size();
     for (const auto &b : r.rpcLog) {
         os << ";" << b.sessionOpenNs << "," << b.userToKernelNs << ","
@@ -315,6 +319,22 @@ TEST(SnapshotKey, AdversarialDivergentPairsNeverShare)
     Scenario instrumented = base;
     instrumented.instrumentation = true;
     EXPECT_FALSE(couldShareSnapshot(base, instrumented));
+
+    Scenario pre_on_dsp = base;
+    pre_on_dsp.preprocessOnDsp = true;
+    EXPECT_FALSE(couldShareSnapshot(base, pre_on_dsp));
+
+    Scenario quiet = base;
+    quiet.suppressInterference = true;
+    EXPECT_FALSE(couldShareSnapshot(base, quiet));
+
+    Scenario contended = base;
+    contended.fabricContention = true;
+    EXPECT_FALSE(couldShareSnapshot(base, contended));
+
+    Scenario tight = base;
+    tight.dspTightlyCoupled = true;
+    EXPECT_FALSE(couldShareSnapshot(base, tight));
 }
 
 TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
@@ -323,7 +343,7 @@ TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
     for (int i = 0; i < 256; ++i) {
         Scenario a = sampleScenario(rng);
         Scenario b = a;
-        switch (rng.uniformInt(0, 6)) {
+        switch (rng.uniformInt(0, 10)) {
           case 0:
             b.streaming = !b.streaming;
             break;
@@ -341,6 +361,18 @@ TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
             break;
           case 5:
             b.instrumentation = !b.instrumentation;
+            break;
+          case 6:
+            b.preprocessOnDsp = !b.preprocessOnDsp;
+            break;
+          case 7:
+            b.suppressInterference = !b.suppressInterference;
+            break;
+          case 8:
+            b.fabricContention = !b.fabricContention;
+            break;
+          case 9:
+            b.dspTightlyCoupled = !b.dspTightlyCoupled;
             break;
           default:
             b.mode = a.mode == app::HarnessMode::CliBenchmark
@@ -415,39 +447,76 @@ TEST(Differential, ForkStreamShapesHitSnapshotCache)
 }
 
 /**
- * The bench-only knobs: a CLI-benchmark run with one CPU thread and
- * the driver instrumentation probe on (the shapes of fig5's CPU-1T row
- * and probe_effect's instrumented rows) is byte-identical across
- * Reference, a Fast miss and a Fast hit — and differs from its
- * default-knob twin, so the knobs really reach the pipeline.
+ * The bench-only knobs reach the pipeline or the platform and never
+ * break replay: each knob scenario is byte-identical across Reference,
+ * a Fast miss and a Fast hit — and differs from its default-knob twin.
+ * Every CLI case must stay snapshot-eligible and hit the cache; only
+ * the app-mode case is ineligible, so its "hit" pass is a second
+ * direct run. The twin runs first on Fast, so a knob
+ * that changed the warm-up prefix but were missing from snapshotKey
+ * would restore the twin's warm-up and fail the miss pass. The threads
+ * and tight-coupling knobs leave the prefix unchanged, so for them the
+ * SnapshotKey tests are what pin the key. Shapes: fig5's CPU-1T row
+ * and probe_effect's instrumented rows (CLI, threads=1 +
+ * instrumentation, on the CPU and the Hexagon DSP); ablation_coupling
+ * (CLI, tightly coupled DSP); and the DSP pre-processing, AXI and
+ * Fig 10 knobs together (app mode, pre-processing on the DSP + fabric
+ * contention + CPU loads).
  */
 TEST(Differential, ThreadsAndInstrumentationReplayByteIdentical)
 {
+    Scenario cli;
+    cli.mode = app::HarnessMode::CliBenchmark;
+    cli.dtype = tensor::DType::UInt8;
+    cli.runs = 4;
+    cli.seed = 7;
+    struct Case
+    {
+        Scenario knobs;
+        Scenario twin;
+        SnapshotUse use;
+    };
+    std::vector<Case> cases;
     for (const auto fw :
          {app::FrameworkKind::TfliteCpu, app::FrameworkKind::TfliteHexagon}) {
-        sweep::snapshotCacheClearForTest();
-        Scenario s;
-        s.mode = app::HarnessMode::CliBenchmark;
-        s.dtype = tensor::DType::UInt8;
-        s.framework = fw;
-        s.runs = 4;
-        s.seed = 7;
-        Scenario twin = s;
+        Scenario twin = cli;
+        twin.framework = fw;
+        Scenario s = twin;
         s.threads = 1;
         s.instrumentation = true;
-        ASSERT_TRUE(scenarioValid(s)) << s.describe();
-        ASSERT_EQ(classifySnapshotUse(s), SnapshotUse::Eligible);
+        cases.push_back({s, twin, SnapshotUse::Eligible});
+    }
+    Scenario hexagon = cli;
+    hexagon.framework = app::FrameworkKind::TfliteHexagon;
+    Scenario tight = hexagon;
+    tight.dspTightlyCoupled = true;
+    cases.push_back({tight, hexagon, SnapshotUse::Eligible});
+    Scenario loaded_app = hexagon;
+    loaded_app.mode = app::HarnessMode::AndroidApp;
+    loaded_app.cpuLoadProcesses = 2;
+    Scenario fused = loaded_app;
+    fused.preprocessOnDsp = true;
+    fused.fabricContention = true;
+    cases.push_back({fused, loaded_app, SnapshotUse::IneligibleMode});
 
+    for (const Case &c : cases) {
+        const Scenario &s = c.knobs;
+        sweep::snapshotCacheClearForTest();
+        ASSERT_TRUE(scenarioValid(s)) << s.describe();
+        ASSERT_EQ(classifySnapshotUse(s), c.use) << s.describe();
+        const std::string twin =
+            resultBytes(runScenario(c.twin, sim::EngineMode::Fast));
         const std::string ref =
             resultBytes(runScenario(s, sim::EngineMode::Reference));
         EXPECT_EQ(ref, resultBytes(runScenario(s, sim::EngineMode::Fast)))
             << "miss pass: " << s.describe();
         EXPECT_EQ(ref, resultBytes(runScenario(s, sim::EngineMode::Fast)))
             << "hit pass: " << s.describe();
-        EXPECT_GE(sweep::snapshotCacheStatsNow().hits, 1u) << s.describe();
-        EXPECT_NE(ref, resultBytes(runScenario(
-                           twin, sim::EngineMode::Reference)))
-            << s.describe();
+        if (c.use == SnapshotUse::Eligible) {
+            EXPECT_GE(sweep::snapshotCacheStatsNow().hits, 1u)
+                << s.describe();
+        }
+        EXPECT_NE(ref, twin) << s.describe();
     }
     sweep::snapshotCacheClearForTest();
 }

@@ -180,6 +180,46 @@ TEST(RuleWallClock, BenchAndSweepAreExempt)
                     .findings.empty());
 }
 
+// --- hand-built-system -------------------------------------------------
+
+TEST(RuleHandBuiltSystem, FlagsEveryConstructionForm)
+{
+    for (const char *path : {"bench/x.cc", "tools/x.cc"}) {
+        const auto r = lintFixture("hand_built_system_bad.cc", path,
+                                   {"hand-built-system"});
+        expectAllRule(r, "hand-built-system");
+        EXPECT_EQ(findingLines(r),
+                  (std::multiset<int>{7, 8, 9, 10, 12, 13}))
+            << path;
+    }
+}
+
+TEST(RuleHandBuiltSystem, ReferencesPointersAndProsePass)
+{
+    const auto r = lintFixture("hand_built_system_clean.cc", "bench/x.cc",
+                               {"hand-built-system"});
+    EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(RuleHandBuiltSystem, OnlyBenchAndToolsAreInScope)
+{
+    EXPECT_TRUE(lintFixture("hand_built_system_bad.cc", "src/verify/x.cc",
+                            {"hand-built-system"})
+                    .findings.empty());
+}
+
+TEST(RuleHandBuiltSystem, AllowMarkerCoversOnlyItsSite)
+{
+    const auto r = lintSource("bench/x.cc",
+                              "// Idle gaps. aitax-lint: "
+                              "allow(hand-built-system)\n"
+                              "soc::SocSystem sys(cfg, 7);\n"
+                              "soc::SocSystem other(cfg, 8);\n",
+                              {"hand-built-system"});
+    EXPECT_EQ(r.suppressed, 1U);
+    EXPECT_EQ(findingLines(r), (std::multiset<int>{3}));
+}
+
 // --- raw-random --------------------------------------------------------
 
 TEST(RuleRawRandom, FlagsUnseededRng)
@@ -730,6 +770,20 @@ TEST(CrossFile, BaselineAbsorbsTaintFindingAndGoesStale)
     const std::vector<BaselineEntry> left = stale.apply(r.findings, fresh);
     ASSERT_EQ(left.size(), 1U);
     EXPECT_EQ(left[0].file, "src/gone.cc");
+}
+
+TEST(CrossFile, SameLineFindingsInTwoFilesAreBothReported)
+{
+    const RepoIndex idx = RepoIndex::fromSources({
+        {"src/soc/a.cc", "auto t = std::chrono::steady_clock::now();\n"},
+        {"src/soc/b.cc", "auto t = std::chrono::steady_clock::now();\n"},
+    });
+    LintOptions opts;
+    opts.ruleFilter = {"wall-clock"};
+    const LintResult r = lintRepo(idx, opts);
+    ASSERT_EQ(r.findings.size(), 2U);
+    EXPECT_EQ(r.findings[0].file, "src/soc/a.cc");
+    EXPECT_EQ(r.findings[1].file, "src/soc/b.cc");
 }
 
 TEST(CrossFile, SelfContainedHeaderCheckIsStrictOnly)

@@ -218,13 +218,31 @@ TEST(Transport, TcpRequiresCorpusSpec)
 
 TEST(Transport, WorkerRejectsForeignSpec)
 {
-    auto cfg = pipeConfig(8, 4, 1, 1, 77);
-    cfg.corpusSpec = "corpus=martian seed=1";
-    const auto sum = sweep::runCampaign(cfg);
-    EXPECT_EQ(sum.status, sweep::CampaignStatus::Error);
-    EXPECT_NE(sum.error.find("rejected campaign spec"),
-              std::string::npos)
-        << sum.error;
+    // A foreign corpus, and a fuzz spec whose seed or fault flag does
+    // not parse: each is a spec-err, never a silently resolved corpus
+    // (seed 0, or faults on) with a wrong aggregate.
+    for (const char *spec :
+         {"corpus=martian seed=1", "corpus=fuzz seed=abc",
+          "corpus=fuzz seed=18446744073709551616",
+          "corpus=fuzz seed=1 faults=yes"}) {
+        auto cfg = pipeConfig(8, 4, 1, 1, 77);
+        cfg.corpusSpec = spec;
+        const auto sum = sweep::runCampaign(cfg);
+        EXPECT_EQ(sum.status, sweep::CampaignStatus::Error) << spec;
+        EXPECT_NE(sum.error.find("rejected campaign spec"),
+                  std::string::npos)
+            << spec << ": " << sum.error;
+    }
+    // The same seeds on a command line's --seed are usage errors.
+    for (const char *mode : {"sweep-serve", "campaign", "verify"}) {
+        for (const char *seed : {"abc", "18446744073709551616"}) {
+            const pid_t pid = spawnCli({mode, "--seed", seed});
+            int status = 0;
+            ASSERT_EQ(waitpid(pid, &status, 0), pid);
+            EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+                << mode << " --seed " << seed << ": status " << status;
+        }
+    }
 }
 
 TEST(Transport, ServeRejectsInvalidListenPort)

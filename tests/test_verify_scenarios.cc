@@ -146,14 +146,27 @@ TEST(ScenarioLabel, BenchKnobsAppearOnlyWhenNotDefault)
     EXPECT_EQ(described.find("thread"), std::string::npos) << described;
     EXPECT_EQ(described.find("instrumentation"), std::string::npos)
         << described;
+    for (const char *knob :
+         {"preprocess", "interference", "fabric", "coupled"})
+        EXPECT_EQ(described.find(knob), std::string::npos) << described;
 
     Scenario knobs = s;
     knobs.threads = 1;
     knobs.instrumentation = true;
+    knobs.preprocessOnDsp = true;
+    knobs.suppressInterference = true;
+    knobs.fabricContention = true;
+    knobs.dspTightlyCoupled = true;
     EXPECT_EQ(knobs.label(),
-              "mobilenet_v1_sd845_fp32_tflite_cpu_android_app_r4_t1_instr_s3");
-    EXPECT_NE(knobs.describe().find("threads=1"), std::string::npos);
-    EXPECT_NE(knobs.describe().find("instrumentation"), std::string::npos);
+              "mobilenet_v1_sd845_fp32_tflite_cpu_android_app_r4_t1_instr_"
+              "predsp_quiet_axi_tight_s3");
+    const std::string knobs_described = knobs.describe();
+    for (const char *knob :
+         {"threads=1", "instrumentation", "preprocess on DSP",
+          "interference suppressed", "fabric contention",
+          "tightly coupled DSP"})
+        EXPECT_NE(knobs_described.find(knob), std::string::npos)
+            << knobs_described;
 }
 
 /**

@@ -277,6 +277,13 @@ runFuzzPass(std::uint64_t master_seed, int count, int replay_index,
     return failures;
 }
 
+/** @p text as a whole base-10 u64: never a silent 0 or a wrap. */
+bool
+parseSeed(const char *text, std::uint64_t &seed)
+{
+    return stats::parseU64(text, seed) && *text == '\0';
+}
+
 int
 verifyMain(int argc, char **argv)
 {
@@ -305,9 +312,10 @@ verifyMain(int argc, char **argv)
             fuzz_count = std::atoi(next());
         else if (arg == "--replay")
             replay_index = std::atoi(next());
-        else if (arg == "--seed")
-            master_seed = static_cast<std::uint64_t>(std::atoll(next()));
-        else if (arg == "--jobs")
+        else if (arg == "--seed") {
+            if (!parseSeed(next(), master_seed))
+                verifyUsage();
+        } else if (arg == "--jobs")
             jobs = std::atoi(next());
         else if (arg == "--faults")
             fault_fuzz = true;
@@ -417,12 +425,17 @@ fuzzSpecResolver()
                 continue;
             const std::string key = tok.substr(0, eq);
             const std::string val = tok.substr(eq + 1);
+            // A seed or fault flag that does not parse is a spec-err,
+            // never a silently different corpus.
+            if ((key == "seed" && !parseSeed(val.c_str(), seed)) ||
+                (key == "faults" && val != "0" && val != "1")) {
+                *error = "malformed \"" + tok + "\"";
+                return {};
+            }
             if (key == "corpus")
                 corpus = val;
-            else if (key == "seed")
-                seed = std::strtoull(val.c_str(), nullptr, 10);
             else if (key == "faults")
-                faults = val != "0";
+                faults = val == "1";
             else if (key == "engine") {
                 if (val == "fast")
                     engine = sim::EngineMode::Fast;
@@ -459,9 +472,10 @@ sweepServeMain(int argc, char **argv)
                 campaignUsage();
             return argv[++i];
         };
-        if (arg == "--seed")
-            master_seed = static_cast<std::uint64_t>(std::atoll(next()));
-        else if (arg == "--jobs")
+        if (arg == "--seed") {
+            if (!parseSeed(next(), master_seed))
+                campaignUsage();
+        } else if (arg == "--jobs")
             opts.jobs = std::atoi(next());
         else if (arg == "--faults")
             faults = true;
@@ -549,9 +563,10 @@ campaignMain(int argc, char **argv)
             cfg.shards = std::atoi(next());
         else if (arg == "--jobs")
             jobs = std::atoi(next());
-        else if (arg == "--seed")
-            master_seed = static_cast<std::uint64_t>(std::atoll(next()));
-        else if (arg == "--chunk")
+        else if (arg == "--seed") {
+            if (!parseSeed(next(), master_seed))
+                campaignUsage();
+        } else if (arg == "--chunk")
             cfg.chunk = std::atoi(next());
         else if (arg == "--faults")
             faults = true;
@@ -808,6 +823,7 @@ main(int argc, char **argv)
     else
         usage(argv[0]);
 
+    // --faults SPEC, plan, trace. aitax-lint: allow(hand-built-system)
     soc::SocSystem sys(soc::platformByName(soc_name), seed);
     if (!faults_spec.empty()) {
         faults::FaultConfig fault_cfg;
