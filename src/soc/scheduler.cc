@@ -47,8 +47,9 @@ void
 OsScheduler::resumeBlocked(void *self, std::shared_ptr<Task> task)
 {
     auto *sched = static_cast<OsScheduler *>(self);
-    sched->sim.scheduleIn(
-        0, [sched, task = std::move(task)] { sched->makeReady(task); });
+    sched->sim.scheduleIn(0, [sched, task = std::move(task)]() mutable {
+        sched->makeReady(std::move(task));
+    });
 }
 
 void
@@ -135,7 +136,7 @@ OsScheduler::dispatch(int core_idx, std::shared_ptr<Task> task)
         sim.scheduleIn(overhead, [this, core_idx] { runFront(core_idx); });
 }
 
-void
+std::shared_ptr<Task>
 OsScheduler::leaveCore(int core_idx)
 {
     Core &core = cores[static_cast<std::size_t>(core_idx)];
@@ -144,34 +145,35 @@ OsScheduler::leaveCore(int core_idx)
         tracer.recordInterval(core.track,
                               core.running->traceLabel(tracer),
                               core.runStart, sim.now());
-    core.running = nullptr;
     core.pendingEvent = 0;
     if (dvfs)
         dvfs->onBusyChange(core.cfg.big, -1);
     if (fabric)
         fabric->onClientChange(-1);
+    return std::exchange(core.running, nullptr);
 }
 
 void
 OsScheduler::runFront(int core_idx)
 {
-    Core &core = cores[static_cast<std::size_t>(core_idx)];
-    auto task = core.running;
-    assert(task);
+    // The core slot owns the task while it runs; markers cannot take
+    // it off this core, so the reference stays valid until leaveCore.
+    Task &task = *cores[static_cast<std::size_t>(core_idx)].running;
 
     while (true) {
-        if (!task->hasSteps()) {
-            leaveCore(core_idx);
-            task->finish(sim.now());
+        if (!task.hasSteps()) {
+            // The returned owner keeps the task alive through finish().
+            const auto owner = leaveCore(core_idx);
+            task.finish(sim.now());
             tryDispatch();
             return;
         }
 
-        TaskStep &step = task->frontStep();
+        TaskStep &step = task.frontStep();
 
         if (auto *marker = std::get_if<MarkerStep>(&step)) {
             auto fn = std::move(marker->fn);
-            task->popStep();
+            task.popStep();
             if (fn)
                 fn(sim.now());
             continue;
@@ -179,24 +181,26 @@ OsScheduler::runFront(int core_idx)
 
         if (auto *sleep = std::get_if<SleepStep>(&step)) {
             const sim::DurationNs duration = sleep->duration;
-            task->popStep();
-            leaveCore(core_idx);
-            task->setState(TaskState::Blocked);
-            sim.scheduleIn(duration, [this, task] { makeReady(task); });
+            task.popStep();
+            task.setState(TaskState::Blocked);
+            // The pending wake-up event owns the task while it sleeps.
+            sim.scheduleIn(duration,
+                           [this, owner = leaveCore(core_idx)]() mutable {
+                               makeReady(std::move(owner));
+                           });
             tryDispatch();
             return;
         }
 
         if (auto *blocked = std::get_if<BlockStep>(&step)) {
             auto start = std::move(blocked->start);
-            task->popStep();
-            leaveCore(core_idx);
-            task->setState(TaskState::Blocked);
+            task.popStep();
+            task.setState(TaskState::Blocked);
             // The resume token owns the task while it is blocked and
             // re-enters the scheduler via a fresh event (resumeBlocked)
             // so a synchronous resume inside start() cannot re-enter us.
-            start(*task, BlockResume(&OsScheduler::resumeBlocked, this,
-                                     task));
+            start(task, BlockResume(&OsScheduler::resumeBlocked, this,
+                                    leaveCore(core_idx)));
             tryDispatch();
             return;
         }
@@ -230,8 +234,7 @@ void
 OsScheduler::startCompute(int core_idx, ComputeStep &step)
 {
     Core &core = cores[static_cast<std::size_t>(core_idx)];
-    auto task = core.running;
-    assert(task);
+    assert(core.running);
 
     const sim::DurationNs duration = computeDuration(core, step);
     const sim::DurationNs slice_rem =
@@ -256,18 +259,17 @@ OsScheduler::startCompute(int core_idx, ComputeStep &step)
                                                    duration, slice_rem] {
         finishComputeSlice(core_idx, sim.now() - slice_rem, slice_rem);
         Core &c = cores[static_cast<std::size_t>(core_idx)];
-        auto task = c.running;
-        auto &st = std::get<ComputeStep>(task->frontStep());
+        Task &task = *c.running;
+        auto &st = std::get<ComputeStep>(task.frontStep());
         const double frac =
             static_cast<double>(slice_rem) / static_cast<double>(duration);
         st.remaining *= std::max(0.0, 1.0 - frac);
 
         if (runQueue.empty()) {
-            const int dest = balanceTarget(core_idx, *task);
+            const int dest = balanceTarget(core_idx, task);
             if (dest >= 0) {
-                leaveCore(core_idx);
-                task->setState(TaskState::Ready);
-                dispatch(dest, std::move(task));
+                task.setState(TaskState::Ready);
+                dispatch(dest, leaveCore(core_idx));
                 return;
             }
             // Nothing else to run: renew the slice in place, free of
@@ -279,10 +281,9 @@ OsScheduler::startCompute(int core_idx, ComputeStep &step)
         ++ctxSwitches;
         if (tracer.isEnabled())
             tracer.recordEvent(ctxSwitchKind_,
-                               task->traceLabel(tracer), sim.now());
-        leaveCore(core_idx);
-        task->setState(TaskState::Ready);
-        runQueue.push_back(task);
+                               task.traceLabel(tracer), sim.now());
+        task.setState(TaskState::Ready);
+        runQueue.push_back(leaveCore(core_idx));
         tryDispatch();
     });
 }
@@ -292,11 +293,10 @@ OsScheduler::finishComputeSlice(int core_idx, sim::TimeNs started,
                                 sim::DurationNs full_duration)
 {
     Core &core = cores[static_cast<std::size_t>(core_idx)];
-    auto task = core.running;
-    assert(task);
+    assert(core.running);
     (void)started;
 
-    const auto &st = std::get<ComputeStep>(task->frontStep());
+    const auto &st = std::get<ComputeStep>(core.running->frontStep());
     // Portion of the step's total byte traffic this slice covered.
     const sim::DurationNs total = computeDuration(core, st);
     const double frac_of_remaining =

@@ -88,6 +88,7 @@ class OsScheduler
     struct Core
     {
         CpuCoreConfig cfg;
+        /** Owner of the task on this core; see leaveCore(). */
         std::shared_ptr<Task> running;
         sim::EventId pendingEvent = 0;
         sim::TimeNs runStart = 0;
@@ -122,7 +123,13 @@ class OsScheduler
     void startCompute(int core_idx, ComputeStep &step);
     void finishComputeSlice(int core_idx, sim::TimeNs started,
                             sim::DurationNs full_duration);
-    void leaveCore(int core_idx);
+    /**
+     * Take the running task off @p core_idx and hand its ownership to
+     * the caller, who moves it on: to the run queue, another core, a
+     * wake-up event or a resume token. A task has exactly one owner
+     * inside the scheduler at any time, so no step copies the pointer.
+     */
+    std::shared_ptr<Task> leaveCore(int core_idx);
     sim::DurationNs computeDuration(const Core &core,
                                     const ComputeStep &step) const;
 

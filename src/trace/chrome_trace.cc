@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <cstdio>
 #include <string_view>
@@ -76,8 +77,6 @@ escapeAll(std::size_t count, NameOf name_of)
     return escaped;
 }
 
-/** Longest %g rendering of a TimeNs / 1e3 ("-9.22337e+15"), rounded up. */
-constexpr std::size_t kMaxUsChars = 16;
 /** Longest decimal std::size_t. */
 constexpr std::size_t kMaxTidChars = 20;
 
@@ -136,19 +135,12 @@ class Record
         return *this;
     }
 
-    /**
-     * A nanosecond timestamp as microseconds, formatted exactly as
-     * the legacy `os << double` did (defaultfloat, precision 6, i.e.
-     * printf("%g")). The standard defines to_chars(general, 6) as
-     * that same printf conversion.
-     */
+    /** A nanosecond timestamp as microseconds (see formatUs). */
     Record &
     us(sim::TimeNs ns)
     {
-        const auto r = std::to_chars(p_, end_, static_cast<double>(ns) / 1e3,
-                                     std::chars_format::general, 6);
-        assert(r.ec == std::errc());
-        p_ = r.ptr;
+        assert(kMaxUsChars <= static_cast<std::size_t>(end_ - p_));
+        p_ = formatUs(p_, ns);
         return *this;
     }
 
@@ -158,7 +150,128 @@ class Record
     char *end_;
 };
 
+constexpr std::uint64_t kPow10[] = {
+    1ull,
+    10ull,
+    100ull,
+    1'000ull,
+    10'000ull,
+    100'000ull,
+    1'000'000ull,
+    10'000'000ull,
+    100'000'000ull,
+    1'000'000'000ull,
+    10'000'000'000ull,
+    100'000'000'000ull,
+    1'000'000'000'000ull,
+    10'000'000'000'000ull,
+    100'000'000'000'000ull,
+    1'000'000'000'000'000ull,
+    10'000'000'000'000'000ull,
+};
+
+/**
+ * Largest ns formatUs() renders from the integer. printf formats the
+ * double q = fl(ns / 1e3), not the exact quotient v = ns / 1000; the
+ * two round to the same six digits whenever v does not sit exactly on
+ * a rounding midpoint:
+ *  - ns <= 2^52 is exact as a double, and v < 2^52 / 1000 < 2^43, so
+ *    the correctly rounded division is off by at most half an ulp,
+ *    2^-11 us < 0.0005 us.
+ *  - For ns of seven or more digits, six-digit rounding drops whole
+ *    nanoseconds and every midpoint is a whole number of ns. Off a
+ *    tie, v is at least 1 ns = 0.001 us from the nearest midpoint,
+ *    more than twice q's largest error, so q rounds the same way.
+ *  - For six digits or fewer nothing is dropped: the nearest midpoint
+ *    is at least 5e-7 of v away, and q's relative error is at most
+ *    2^-53.
+ * The digit carry of a round-up (999999.5 -> 1e+06) is exact too, so
+ * %g's fixed/exponent choice agrees as well.
+ */
+constexpr std::uint64_t kIntegerUsLimit = std::uint64_t{1} << 52;
+
 } // namespace
+
+char *
+formatUs(char *first, sim::TimeNs ns)
+{
+    auto fallback = [&] {
+        // The standard defines to_chars(general, 6) as printf("%.6g").
+        return std::to_chars(first, first + kMaxUsChars,
+                             static_cast<double>(ns) / 1e3,
+                             std::chars_format::general, 6)
+            .ptr;
+    };
+    if (ns <= 0 || static_cast<std::uint64_t>(ns) > kIntegerUsLimit)
+        return fallback();
+
+    const auto n = static_cast<std::uint64_t>(ns);
+    int digits = 1; // decimal digits of n; at most 16 below the limit
+    while (n >= kPow10[digits])
+        ++digits;
+    // n rounded to six significant digits, as 100000..999999.
+    std::uint64_t sig;
+    if (digits > 6) {
+        const std::uint64_t unit = kPow10[digits - 6];
+        sig = n / unit;
+        const std::uint64_t dropped = n - sig * unit;
+        if (dropped * 2 == unit)
+            return fallback(); // exact tie: the binary quotient decides
+        if (dropped * 2 > unit && ++sig == 1'000'000) {
+            sig = 100'000;
+            ++digits;
+        }
+    } else {
+        sig = n * kPow10[6 - digits];
+    }
+    // %g's decimal exponent of the value in microseconds.
+    const int exp10 = digits - 4;
+
+    int nd = 6;
+    while (sig % 10 == 0) {
+        sig /= 10;
+        --nd;
+    }
+    char d[6] = {};
+    for (int i = nd - 1; i >= 0; --i) {
+        d[i] = static_cast<char>('0' + sig % 10);
+        sig /= 10;
+    }
+
+    char *p = first;
+    auto put = [&p](const char *s, int count) {
+        std::memcpy(p, s, static_cast<std::size_t>(count));
+        p += count;
+    };
+    if (exp10 >= 6) {
+        // Exponent form; exp10 <= 13 below the limit, so two digits.
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            put(d + 1, nd - 1);
+        }
+        *p++ = 'e';
+        *p++ = '+';
+        *p++ = static_cast<char>('0' + exp10 / 10);
+        *p++ = static_cast<char>('0' + exp10 % 10);
+    } else if (exp10 < 0) {
+        // 0.001 .. 0.999999 us.
+        *p++ = '0';
+        *p++ = '.';
+        for (int z = -exp10 - 1; z > 0; --z)
+            *p++ = '0';
+        put(d, nd);
+    } else {
+        const int whole = exp10 + 1;
+        for (int i = 0; i < whole; ++i)
+            *p++ = i < nd ? d[i] : '0';
+        if (nd > whole) {
+            *p++ = '.';
+            put(d + whole, nd - whole);
+        }
+    }
+    return p;
+}
 
 std::string
 chromeTraceString(const Tracer &tracer)

@@ -15,6 +15,7 @@
 #ifndef AITAX_TRACE_CHROME_TRACE_H
 #define AITAX_TRACE_CHROME_TRACE_H
 
+#include <cstddef>
 #include <ostream>
 #include <string>
 
@@ -32,6 +33,17 @@ std::string chromeTraceString(const Tracer &tracer);
 
 /** Stream the same JSON to an ostream. */
 void writeChromeTrace(std::ostream &os, const Tracer &tracer);
+
+/** Longest formatUs() output ("-9.22337e+15"), rounded up. */
+inline constexpr std::size_t kMaxUsChars = 16;
+
+/**
+ * Write the nanosecond timestamp @p ns as microseconds in the trace's
+ * number format, exactly printf("%.6g", ns / 1e3) — what the legacy
+ * `os << double` writer produced. @p first must have room for
+ * kMaxUsChars characters; returns one past the last one written.
+ */
+char *formatUs(char *first, sim::TimeNs ns);
 
 } // namespace aitax::trace
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "soc/accelerator.h"
@@ -340,6 +342,131 @@ TEST(Scheduler, LoadBalanceMigrationsAreDeterministic)
     const auto a = run_once();
     EXPECT_GT(a, 0); // ~200 ms of slices at p=0.12
     EXPECT_EQ(a, run_once());
+}
+
+// --- scheduler ownership ---------------------------------------------------
+//
+// Inside the scheduler a task has exactly one owner at any moment: the
+// core slot while it runs, the run queue while it waits, the wake-up
+// event while it sleeps and the resume token while it is blocked. The
+// tests keep only a weak_ptr, so use_count() counts the scheduler's
+// references alone.
+
+TEST(SchedulerOwnership, OneOwnerWhileRunningSleepingAndBlocked)
+{
+    SocSystem sys(testConfig());
+    auto task = std::make_shared<Task>("owned");
+    const std::weak_ptr<Task> weak = task;
+    std::vector<long> running;
+    auto count_running = [&](sim::TimeNs) {
+        running.push_back(weak.use_count());
+    };
+    long in_start = -1;
+    task->marker(count_running);
+    task->sleep(sim::msToNs(2.0)); // ~[0.005, 2.005] ms
+    task->marker(count_running);
+    task->block([&](Task &, BlockResume resume) {
+        in_start = weak.use_count();
+        // ~[2.01, 4.01] ms; the event queue now holds the token.
+        sys.simulator().scheduleIn(sim::msToNs(2.0), std::move(resume));
+    });
+    task->marker(count_running);
+    bool completed = false;
+    task->setOnComplete([&](sim::TimeNs) { completed = true; });
+    sys.scheduler().submit(std::move(task));
+
+    long sleeping = -1;
+    long blocked = -1;
+    sys.simulator().scheduleIn(sim::msToNs(1.0),
+                               [&] { sleeping = weak.use_count(); });
+    sys.simulator().scheduleIn(sim::msToNs(3.0),
+                               [&] { blocked = weak.use_count(); });
+    sys.run();
+
+    EXPECT_EQ(running, (std::vector<long>{1, 1, 1}));
+    EXPECT_EQ(sleeping, 1);
+    EXPECT_EQ(in_start, 1);
+    EXPECT_EQ(blocked, 1);
+    EXPECT_TRUE(completed);
+    EXPECT_TRUE(weak.expired());
+}
+
+TEST(SchedulerOwnership, FireAndForgetTaskRunsToCompletion)
+{
+    SocSystem sys(testConfig());
+    std::weak_ptr<Task> weak;
+    sim::TimeNs done = 0;
+    {
+        auto task = makeTask(sys.arena(), "detached");
+        weak = task;
+        task->compute({3.64e6, 0.0}, WorkClass::Scalar);
+        task->sleep(sim::msToNs(1.0));
+        task->block([&](Task &, BlockResume resume) {
+            sys.simulator().scheduleIn(sim::msToNs(1.0), std::move(resume));
+        });
+        task->compute({3.64e6, 0.0}, WorkClass::Scalar);
+        task->setOnComplete([&](sim::TimeNs t) { done = t; });
+        sys.scheduler().submit(std::move(task));
+    }
+    ASSERT_FALSE(weak.expired()); // the run queue owns it now
+    sys.run();
+    EXPECT_GT(sim::nsToMs(done), 4.0);
+    EXPECT_TRUE(weak.expired());
+    EXPECT_TRUE(sys.scheduler().idle());
+}
+
+TEST(SchedulerOwnership, PreemptedTaskKeepsRemainingFractionInRunQueue)
+{
+    // One core, fixed clocks: the preempted slice's share of the step
+    // is exactly timeSlice / duration.
+    SocConfig cfg = testConfig();
+    cfg.cluster.cores.resize(1);
+    cfg.dvfs.enabled = false;
+    cfg.thermal.enabled = false;
+    SocSystem sys(cfg);
+    const CpuCoreConfig &core = cfg.cluster.cores[0];
+    const double ops_per_sec =
+        core.freqGhz * 1e9 * core.opsPerCycle(WorkClass::Scalar);
+    const double ops = ops_per_sec * 0.0125; // 12.5 ms: several slices
+    const auto duration =
+        static_cast<sim::DurationNs>(std::ceil(ops / ops_per_sec * 1e9));
+    const double expected =
+        1.0 - static_cast<double>(cfg.cluster.timeSliceNs) /
+                  static_cast<double>(duration);
+
+    auto a = std::make_shared<Task>("long");
+    const std::weak_ptr<Task> weak_a = a;
+    a->compute({ops, 0.0}, WorkClass::Scalar);
+    std::vector<std::string> order;
+    a->setOnComplete([&](sim::TimeNs) { order.push_back("long"); });
+
+    auto b = std::make_shared<Task>("short");
+    long queued_owners = -1;
+    double queued_remaining = -1.0;
+    TaskState queued_state = TaskState::Created;
+    b->marker([&](sim::TimeNs) {
+        // b runs only once a's first slice expired and a was re-queued.
+        queued_owners = weak_a.use_count();
+        const auto queued = weak_a.lock();
+        queued_state = queued->state();
+        queued_remaining =
+            std::get<ComputeStep>(queued->frontStep()).remaining;
+    });
+    b->compute({3.64e5, 0.0}, WorkClass::Scalar);
+    b->setOnComplete([&](sim::TimeNs) { order.push_back("short"); });
+
+    sys.scheduler().submit(std::move(a));
+    sys.scheduler().submit(std::move(b));
+    sys.run();
+
+    EXPECT_EQ(queued_owners, 1);
+    EXPECT_EQ(queued_state, TaskState::Ready);
+    EXPECT_DOUBLE_EQ(queued_remaining, expected);
+    EXPECT_GT(queued_remaining, 0.0);
+    EXPECT_LT(queued_remaining, 1.0);
+    EXPECT_EQ(order, (std::vector<std::string>{"short", "long"}));
+    EXPECT_GE(sys.scheduler().contextSwitches(), 1);
+    EXPECT_TRUE(weak_a.expired());
 }
 
 // --- accelerator -----------------------------------------------------------

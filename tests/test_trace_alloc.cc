@@ -44,25 +44,28 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void
+// The deletes stay out of line: inlined into a `new T` expression's
+// cleanup path, their free() would meet the pointer from operator new
+// and gcc would report a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -509,6 +510,98 @@ TEST(TraceEquiv, TimestampSweepMatchesLegacyFormatting)
                           << legacy.str() << chromeTraceString(t);
     }
     EXPECT_EQ(mismatches, 0);
+}
+
+// --- formatUs against the ostream oracle ---------------------------
+//
+// formatUs builds the digits from the integer nanoseconds and falls
+// back to to_chars on exact six-digit ties, on ns <= 0 and above 2^52.
+// Each value below is checked against the legacy writer's own number
+// formatting: `os << double(ns) / 1e3` at the default precision.
+
+class UsChecker
+{
+  public:
+    void
+    check(sim::TimeNs ns)
+    {
+        oracle_.str("");
+        oracle_ << static_cast<double>(ns) / 1e3;
+        char buf[kMaxUsChars];
+        const std::string_view got(buf, static_cast<std::size_t>(
+                                            formatUs(buf, ns) - buf));
+        ++checked_;
+        if (got != oracle_.str() && ++mismatches_ <= 5)
+            ADD_FAILURE() << "ns " << ns << ": formatUs \"" << got
+                          << "\", legacy \"" << oracle_.str() << '"';
+    }
+    int mismatches() const { return mismatches_; }
+    long checked() const { return checked_; }
+
+  private:
+    std::ostringstream oracle_;
+    int mismatches_ = 0;
+    long checked_ = 0;
+};
+
+TEST(FormatUs, EveryValueBelowTwoMillion)
+{
+    UsChecker c;
+    for (sim::TimeNs ns = 0; ns < 2'000'000; ++ns)
+        c.check(ns);
+    EXPECT_EQ(c.mismatches(), 0);
+}
+
+TEST(FormatUs, EveryDecadeBoundaryUpTo1e16)
+{
+    // +-2000 ns around 10^k ns covers each change of digit count, the
+    // carry of 999999.5 into the next decade, and the switch to the
+    // exponent form at 10^6 us.
+    UsChecker c;
+    sim::TimeNs p = 1;
+    for (int k = 0; k <= 16; ++k, p *= 10)
+        for (sim::TimeNs ns = p - 2'000; ns <= p + 2'000; ++ns)
+            c.check(ns);
+    EXPECT_EQ(c.checked(), 17 * 4'001);
+    EXPECT_EQ(c.mismatches(), 0);
+}
+
+TEST(FormatUs, ExactTiesTakeTheFallback)
+{
+    // ns whose digits beyond the sixth are exactly 5 followed by zeros:
+    // 10^5 seeded ties, 7 to 16 digits long (the longest lie above the
+    // 2^52 bound and take the fallback for that reason too).
+    Lcg rng;
+    UsChecker c;
+    for (int i = 0; i < 100'000; ++i) {
+        const int digits = 7 + static_cast<int>(rng.next() % 10);
+        const auto sig =
+            static_cast<sim::TimeNs>(100'000 + rng.next() % 900'000);
+        sim::TimeNs unit = 1;
+        for (int d = 6; d < digits; ++d)
+            unit *= 10;
+        c.check(sig * unit + unit / 2);
+    }
+    EXPECT_EQ(c.mismatches(), 0);
+}
+
+TEST(FormatUs, AtAndAboveTheIntegerBound)
+{
+    UsChecker c;
+    constexpr sim::TimeNs kBound = sim::TimeNs{1} << 52;
+    for (sim::TimeNs ns = kBound - 2'000; ns <= kBound + 2'000; ++ns)
+        c.check(ns);
+    Lcg rng;
+    for (int i = 0; i < 20'000; ++i) {
+        // Above the bound: up to INT64_MAX.
+        const auto r = static_cast<sim::TimeNs>(
+            ((rng.next() << 16) ^ rng.next()) >> 1);
+        c.check(r < kBound ? r + kBound : r);
+    }
+    c.check(std::numeric_limits<sim::TimeNs>::max());
+    c.check(-1);
+    c.check(std::numeric_limits<sim::TimeNs>::min());
+    EXPECT_EQ(c.mismatches(), 0);
 }
 
 } // namespace

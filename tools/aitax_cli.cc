@@ -752,9 +752,10 @@ main(int argc, char **argv)
             runs = std::atoi(next());
         else if (arg == "--threads")
             threads = std::atoi(next());
-        else if (arg == "--seed")
-            seed = static_cast<std::uint64_t>(std::atoll(next()));
-        else if (arg == "--instrument")
+        else if (arg == "--seed") {
+            if (!parseSeed(next(), seed))
+                usage(argv[0]);
+        } else if (arg == "--instrument")
             instrument = true;
         else if (arg == "--pre-on-dsp")
             pre_on_dsp = true;
