@@ -18,17 +18,17 @@
  * ratios, not wall-clock, so it is stable across machine speeds.
  *
  * After the in-process passes the harness re-runs the matrix as a
- * multiprocess *campaign* (src/sweep/campaign.h) at --shards 1/2/4,
- * re-exec'ing itself in a hidden `--serve` worker mode, and records
- * the per-shard scaling rows plus the 4-vs-1 throughput ratio. The
- * campaign aggregate must be byte-identical across every shard count
- * (enforced unconditionally, like the checksum match); with --gate on
- * a host with >= 4 cores the 4-shard campaign must also be > 1.5x the
- * 1-shard throughput.
+ * multiprocess *campaign* (src/sweep/campaign.h) at --shards 1/2/4
+ * over `aitax_cli sweep-serve --jobs 1` pipe workers (the worker users
+ * run; it resolves the "corpus=bench ..." spec through
+ * verify::resolveCorpusSpec). It records the per-shard scaling rows
+ * plus the 4-vs-1 throughput ratio. The campaign aggregate must be
+ * byte-identical across every shard count (enforced unconditionally,
+ * like the checksum match); with --gate on a host with >= 4 cores the
+ * 4-shard campaign must also be > 1.5x the 1-shard throughput.
  *
  * Usage: sweep_throughput [--quick] [--scenarios N] [--runs N]
  *                         [--jobs N] [--out FILE] [--gate FILE]
- *        sweep_throughput --serve --scenarios N --runs N   (worker)
  */
 
 #include <algorithm>
@@ -36,10 +36,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,7 +45,8 @@
 
 #include "bench/bench_common.h"
 #include "sweep/campaign.h"
-#include "sweep/serve.h"
+#include "stats/numfmt.h"
+#include "verify/corpus.h"
 
 namespace {
 
@@ -58,71 +57,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** Valid (model, dtype, framework) points; modes/socs/seeds cycle. */
-struct Combo
-{
-    const char *model;
-    tensor::DType dtype;
-    app::FrameworkKind fw;
-};
-
-std::vector<verify::Scenario>
-buildMatrix(int scenarios, int runs)
-{
-    static const Combo kCombos[] = {
-        {"mobilenet_v1", tensor::DType::Float32,
-         app::FrameworkKind::TfliteCpu},
-        {"mobilenet_v1", tensor::DType::UInt8,
-         app::FrameworkKind::TfliteHexagon},
-        {"efficientnet_lite0", tensor::DType::UInt8,
-         app::FrameworkKind::TfliteNnapi},
-        {"squeezenet", tensor::DType::Float32,
-         app::FrameworkKind::TfliteCpu},
-        {"inception_v3", tensor::DType::Float32,
-         app::FrameworkKind::TfliteGpu},
-        {"mobilenet_v1", tensor::DType::UInt8,
-         app::FrameworkKind::SnpeDsp},
-        {"posenet", tensor::DType::Float32,
-         app::FrameworkKind::TfliteCpu},
-        {"ssd_mobilenet_v2", tensor::DType::UInt8,
-         app::FrameworkKind::TfliteNnapi},
-    };
-    static const app::HarnessMode kModes[] = {
-        app::HarnessMode::CliBenchmark,
-        app::HarnessMode::BenchmarkApp,
-        app::HarnessMode::AndroidApp,
-    };
-    static const char *kSocs[] = {
-        "Snapdragon 835",
-        "Snapdragon 845",
-        "Snapdragon 855",
-        "Snapdragon 865",
-    };
-
-    std::vector<verify::Scenario> specs;
-    specs.reserve(static_cast<std::size_t>(scenarios));
-    for (int i = 0; i < scenarios; ++i) {
-        const Combo &c = kCombos[static_cast<std::size_t>(i) %
-                                 std::size(kCombos)];
-        verify::Scenario spec = bench::scenario();
-        spec.modelId = c.model;
-        spec.dtype = c.dtype;
-        spec.framework = c.fw;
-        spec.mode = kModes[static_cast<std::size_t>(i / 2) %
-                           std::size(kModes)];
-        spec.socName = kSocs[static_cast<std::size_t>(i / 3) %
-                             std::size(kSocs)];
-        // Every fourth row uses streaming capture; where that lands on
-        // a CliBenchmark row it exercises the fork-stream snapshot
-        // path (warm-up memoized despite the post-warm-up divergence).
-        spec.streaming = (i % 4 == 0);
-        spec.runs = runs;
-        spec.seed = 1000 + static_cast<std::uint64_t>(i);
-        specs.push_back(std::move(spec));
-    }
-    return specs;
 }
 
 /** Order-independent fingerprint that every pass must reproduce. */
@@ -166,107 +100,6 @@ baselineNumber(const std::string &json, const char *key)
     return std::strtod(json.c_str() + colon + 1, nullptr);
 }
 
-/** ScenarioFn over the bench matrix of the given dimensions. */
-sweep::ScenarioFn
-benchScenarioFn(int scenarios, int runs)
-{
-    auto specs = std::make_shared<std::vector<verify::Scenario>>(
-        buildMatrix(scenarios, runs));
-    return [specs](int index) {
-        const verify::ScenarioResult r = verify::runScenario(
-            (*specs)[static_cast<std::size_t>(index)], sim::EngineMode::Fast,
-            verify::ResultRequest::ReportOnly);
-        sweep::ScenarioOutcome o;
-        o.e2eMeanMs = r.report.endToEndMeanMs();
-        o.events = r.eventsExecuted;
-        return o;
-    };
-}
-
-/**
- * Worker-side corpus addressing for the bench matrix: resolve a
- * "corpus=bench scenarios=N runs=N ..." campaign spec into the exact
- * corpus the coordinator is sharding, rebuilding the matrix locally.
- */
-sweep::SpecResolver
-benchSpecResolver()
-{
-    return [](const std::string &spec,
-              std::string *error) -> sweep::ScenarioFn {
-        std::string corpus;
-        int scenarios = 0;
-        int runs = 0;
-        std::size_t pos = 0;
-        while (pos < spec.size()) {
-            while (pos < spec.size() && spec[pos] == ' ')
-                ++pos;
-            std::size_t end = spec.find(' ', pos);
-            if (end == std::string::npos)
-                end = spec.size();
-            const std::string tok = spec.substr(pos, end - pos);
-            pos = end;
-            const std::size_t eq = tok.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = tok.substr(0, eq);
-            const std::string val = tok.substr(eq + 1);
-            if (key == "corpus")
-                corpus = val;
-            else if (key == "scenarios")
-                scenarios = std::atoi(val.c_str());
-            else if (key == "runs")
-                runs = std::atoi(val.c_str());
-            // chunk/engine and unknown keys: coordinator-side concerns.
-        }
-        if (corpus != "bench") {
-            *error = "this worker only serves corpus=bench (got \"" +
-                     corpus + "\")";
-            return {};
-        }
-        if (scenarios <= 0 || runs <= 0) {
-            *error = "corpus=bench needs scenarios>0 and runs>0";
-            return {};
-        }
-        return benchScenarioFn(scenarios, runs);
-    };
-}
-
-/**
- * Hidden worker mode: serve matrix scenarios over the campaign's
- * stdin/stdout protocol. The coordinator (the campaign passes below)
- * re-execs this binary with --serve plus the matrix dimensions, so a
- * worker builds the exact corpus the coordinator is sharding; the
- * spec handshake re-resolves the same corpus from the identity line.
- */
-int
-serveMain(int argc, char **argv)
-{
-    int scenarios = 64;
-    int runs = 100;
-    sweep::ServeOptions opts;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                std::exit(2);
-            return argv[++i];
-        };
-        if (arg == "--scenarios")
-            scenarios = std::atoi(next());
-        else if (arg == "--runs")
-            runs = std::atoi(next());
-        else if (arg == "--jobs")
-            opts.jobs = std::atoi(next());
-        else if (arg == "--exit-after")
-            opts.exitAfterRanges = std::atoi(next());
-        else
-            std::exit(2);
-    }
-    sweep::StdioLineIO io;
-    return sweep::serveSession(io, opts, benchScenarioFn(scenarios, runs),
-                               benchSpecResolver());
-}
-
 /** One shard-count row of the campaign scaling curve. */
 struct CampaignRow
 {
@@ -276,14 +109,20 @@ struct CampaignRow
     std::string report; ///< deterministic aggregate JSON
 };
 
+[[noreturn]] void
+usage()
+{
+    std::fprintf(stderr, "usage: sweep_throughput [--quick] "
+                         "[--scenarios N] [--runs N] [--jobs N] "
+                         "[--out FILE] [--gate FILE]\n");
+    std::exit(2);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "--serve") == 0)
-        return serveMain(argc, argv);
-
     int scenarios = 64;
     int runs = 100;
     int jobs = 0;
@@ -299,6 +138,10 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](int &out) {
+            if (!stats::parseWhole(next(), out))
+                usage();
+        };
         if (arg == "--quick") {
             // 256 scenarios actually stretch the pool and the campaign
             // sharding below (16 finished before work-stealing or the
@@ -306,28 +149,26 @@ main(int argc, char **argv)
             scenarios = 256;
             runs = 30;
         } else if (arg == "--scenarios") {
-            scenarios = std::atoi(next());
+            number(scenarios);
         } else if (arg == "--runs") {
-            runs = std::atoi(next());
+            number(runs);
         } else if (arg == "--jobs") {
-            jobs = std::atoi(next());
+            number(jobs);
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--gate") {
             gate_path = next();
         } else {
-            std::fprintf(stderr,
-                         "usage: sweep_throughput [--quick] "
-                         "[--scenarios N] [--runs N] [--jobs N] "
-                         "[--out FILE] [--gate FILE]\n");
-            return 2;
+            usage();
         }
     }
     if (scenarios <= 0 || runs <= 0)
         return 2;
     jobs = sweep::effectiveJobs(jobs);
 
-    const auto specs = buildMatrix(scenarios, runs);
+    std::vector<verify::Scenario> specs;
+    for (int i = 0; i < scenarios; ++i)
+        specs.push_back(verify::benchScenario(i, runs));
 
     // Warm the process-wide graph cache outside the timed region so
     // both passes see the same steady-state cost per scenario.
@@ -451,7 +292,6 @@ main(int argc, char **argv)
     // scaling). The aggregate report must be byte-identical across
     // every shard count — the determinism contract one level above the
     // thread pool.
-    const std::string self_exe = sweep::selfExecutablePath(argv[0]);
     constexpr int kCampaignShards[] = {1, 2, 4};
     constexpr int kCampaignReps = 2;
     std::vector<CampaignRow> campaign_rows;
@@ -465,16 +305,9 @@ main(int argc, char **argv)
         ccfg.identity =
             "corpus=bench scenarios=" + std::to_string(scenarios) +
             " runs=" + std::to_string(runs) + " chunk=32 engine=fast";
-        // Workers re-resolve the corpus from this spec; the argv
-        // flags below keep the handshake and the argv paths in
-        // byte-for-byte agreement.
+        // Workers resolve the bench corpus from this spec.
         ccfg.corpusSpec = ccfg.identity;
-        ccfg.workerCmd = {self_exe,
-                          "--serve",
-                          "--scenarios",
-                          std::to_string(scenarios),
-                          "--runs",
-                          std::to_string(runs)};
+        ccfg.workerCmd = {AITAX_CLI_PATH, "sweep-serve", "--jobs", "1"};
         CampaignRow row;
         row.shards = shards;
         std::uint64_t campaign_events = 0;

@@ -21,10 +21,13 @@
 #define AITAX_STATS_NUMFMT_H
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <type_traits>
 
 namespace aitax::stats {
 
@@ -107,6 +110,24 @@ parseInt(const char *&p, int &out)
     }
     out = static_cast<int>(wide);
     return true;
+}
+
+/**
+ * All of @p text as one finite base-10 number (int, u64 or double): a
+ * leading space or trailing byte ("3x"), an empty string, "inf",
+ * "nan" or an out-of-range value is a failure, never a silent 3, 0 or
+ * wrap. The rule for every command-line flag and campaign-spec value.
+ */
+template <typename T>
+bool
+parseWhole(std::string_view text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto r = std::from_chars(text.data(), end, out);
+    if constexpr (std::is_floating_point_v<T>)
+        if (r.ec == std::errc() && !std::isfinite(out))
+            return false;
+    return r.ec == std::errc() && r.ptr == end;
 }
 
 } // namespace aitax::stats

@@ -22,9 +22,10 @@
  *
  * Workers address their corpus *by spec*: the coordinator sends the
  * campaign identity line and the worker resolves it to a ScenarioFn
- * locally (SpecResolver below), so remote workers never receive
- * scenario payloads and one daemon serves many campaigns. A pipe
- * worker may also be argv-bound, in which case the spec is optional.
+ * locally (verify::resolveCorpusSpec, grammar in verify/corpus.h), so
+ * remote workers never receive scenario payloads and one daemon serves
+ * many campaigns. `aitax_cli sweep-serve` can also bind a fuzz corpus
+ * from its argv, in which case a pipe campaign may skip the spec.
  * Every number on the wire is formatted and parsed locale-independently
  * (stats/numfmt.h) — a comma-decimal LC_NUMERIC cannot corrupt it.
  *
@@ -126,8 +127,8 @@ struct CampaignConfig
     /** Worker processes. */
     int shards = 1;
     /**
-     * argv of one worker process (argv[0] = executable). The
-     * coordinator appends nothing; bake seed/jobs/engine flags in.
+     * argv of one worker process (argv[0] = executable), such as
+     * `aitax_cli sweep-serve --jobs N`; `corpusSpec` names the corpus.
      * Ignored when `workers` selects the TCP transport.
      */
     std::vector<std::string> workerCmd;

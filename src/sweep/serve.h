@@ -68,7 +68,7 @@ struct ServeOptions
 /**
  * Serve one coordinator session over @p io until "quit" or EOF.
  *
- * @param fn corpus bound at startup (argv-addressed); may be empty
+ * @param fn corpus bound at startup (sweep-serve's argv); may be empty
  *        when the coordinator sends "spec" before its first range.
  * @param resolver worker-side corpus addressing (required): maps a
  *        spec line to a ScenarioFn that replaces @p fn, or returns an

@@ -15,7 +15,7 @@
  * build), so what this suite passes is what production campaigns run.
  * Its report is also pinned to an in-process fold of full
  * verify::runScenario results, which the workers' report-only runs
- * must reproduce.
+ * must reproduce, for the fuzz corpus and the bench corpus alike.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@
 #include "stats/distribution.h"
 #include "stats/streaming_distribution.h"
 #include "sweep/campaign.h"
-#include "verify/scenario.h"
+#include "verify/corpus.h"
 
 namespace aitax {
 namespace {
@@ -261,6 +261,46 @@ TEST(Campaign, WorkerReportEqualsInProcessFullRuns)
     }
     EXPECT_EQ(sweep::campaignReportJson(campaignConfig(1, 1).identity, total),
               baselineReport());
+}
+
+/**
+ * The bench corpus (sweep_throughput's matrix) over the same worker,
+ * launched with no corpus flags as sweep_throughput launches it: bound
+ * by the spec alone, its report at 1 and 3 shards equals the
+ * in-process fold of runScenario(benchScenario(i, runs)).
+ */
+TEST(Campaign, BenchCorpusOverWorkerEqualsInProcessAggregate)
+{
+    constexpr int kBenchScenarios = 24;
+    constexpr int kBenchRuns = 5;
+    const std::string identity =
+        "corpus=bench scenarios=" + std::to_string(kBenchScenarios) +
+        " runs=" + std::to_string(kBenchRuns) + " chunk=" +
+        std::to_string(kChunk) + " engine=fast";
+    sweep::CampaignAggregate total;
+    for (int b = 0; b < kBenchScenarios; b += kChunk) {
+        sweep::CampaignAggregate chunk;
+        for (int i = b; i < std::min(kBenchScenarios, b + kChunk); ++i) {
+            const verify::ScenarioResult r =
+                verify::runScenario(verify::benchScenario(i, kBenchRuns));
+            chunk.addScenario({r.report.endToEndMeanMs(), r.eventsExecuted});
+        }
+        total.merge(chunk);
+    }
+    const std::string expected = sweep::campaignReportJson(identity, total);
+
+    for (const int shards : {1, 3}) {
+        sweep::CampaignConfig cfg;
+        cfg.scenarios = kBenchScenarios;
+        cfg.chunk = kChunk;
+        cfg.shards = shards;
+        cfg.identity = identity;
+        cfg.corpusSpec = identity;
+        cfg.workerCmd = {AITAX_CLI_PATH, "sweep-serve", "--jobs", "1"};
+        const auto sum = sweep::runCampaign(cfg);
+        ASSERT_EQ(sum.status, sweep::CampaignStatus::Ok) << sum.error;
+        EXPECT_EQ(reportOf(sum, cfg), expected) << "shards=" << shards;
+    }
 }
 
 TEST(Campaign, WorkerCrashIsReDispatchedByteExactly)

@@ -218,13 +218,16 @@ TEST(Transport, TcpRequiresCorpusSpec)
 
 TEST(Transport, WorkerRejectsForeignSpec)
 {
-    // A foreign corpus, and a fuzz spec whose seed or fault flag does
-    // not parse: each is a spec-err, never a silently resolved corpus
-    // (seed 0, or faults on) with a wrong aggregate.
+    // A foreign corpus, a value that does not parse, a repeated key
+    // and a key of the other corpus: each is a spec-err, never a
+    // silently resolved corpus (seed 0, runs=3, faults on) with a
+    // wrong aggregate.
     for (const char *spec :
          {"corpus=martian seed=1", "corpus=fuzz seed=abc",
           "corpus=fuzz seed=18446744073709551616",
-          "corpus=fuzz seed=1 faults=yes"}) {
+          "corpus=fuzz seed=1 faults=yes",
+          "corpus=bench scenarios=8 runs=3x", "corpus=fuzz seed=1 seed=2",
+          "corpus=fuzz runs=5"}) {
         auto cfg = pipeConfig(8, 4, 1, 1, 77);
         cfg.corpusSpec = spec;
         const auto sum = sweep::runCampaign(cfg);

@@ -78,7 +78,10 @@
  *             [--engine fast|reference] [--exit-after N]
  *                                     local worker: serve scenario
  *                                     ranges over stdin/stdout (the
- *                                     coordinator's pipe transport)
+ *                                     coordinator's pipe transport);
+ *                                     the flags bind a fuzz corpus
+ *                                     until a campaign spec rebinds
+ *                                     it (grammar: verify/corpus.h)
  *
  *   aitax_cli serve [--listen PORT] [--bind ADDR] [--jobs N]
  *             [--accept N] [--port-file FILE]
@@ -94,6 +97,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -110,6 +114,7 @@
 #include "sweep/sweep_runner.h"
 #include "trace/chrome_trace.h"
 #include "trace/render.h"
+#include "verify/corpus.h"
 #include "verify/golden.h"
 #include "verify/invariants.h"
 
@@ -120,6 +125,38 @@
 namespace {
 
 using namespace aitax;
+
+/**
+ * A subcommand's argv, walked flag by flag. A missing value, or a
+ * value that is not wholly a number (stats::parseWhole: "2x" is not
+ * 2), exits through the subcommand's usage text with status 2.
+ */
+struct ArgWalk
+{
+    int argc;
+    char **argv;
+    int i;
+    std::function<void()> usage; ///< prints and exits; never returns
+
+    bool more() const { return i < argc; }
+    const char *flag() { return argv[i++]; }
+
+    const char *
+    next()
+    {
+        if (i >= argc)
+            usage();
+        return argv[i++];
+    }
+
+    template <typename T>
+    void
+    number(T &out)
+    {
+        if (!stats::parseWhole(next(), out))
+            usage();
+    }
+};
 
 [[noreturn]] void
 usage(const char *argv0)
@@ -277,13 +314,6 @@ runFuzzPass(std::uint64_t master_seed, int count, int replay_index,
     return failures;
 }
 
-/** @p text as a whole base-10 u64: never a silent 0 or a wrap. */
-bool
-parseSeed(const char *text, std::uint64_t &seed)
-{
-    return stats::parseU64(text, seed) && *text == '\0';
-}
-
 int
 verifyMain(int argc, char **argv)
 {
@@ -297,32 +327,26 @@ verifyMain(int argc, char **argv)
     bool stats = false;
     sim::EngineMode engine = sim::EngineMode::Fast;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                verifyUsage();
-            return argv[++i];
-        };
+    for (ArgWalk a{argc, argv, 2, verifyUsage}; a.more();) {
+        const std::string arg = a.flag();
         if (arg == "--update")
             update = true;
         else if (arg == "--golden-dir")
-            golden_dir = next();
+            golden_dir = a.next();
         else if (arg == "--fuzz")
-            fuzz_count = std::atoi(next());
+            a.number(fuzz_count);
         else if (arg == "--replay")
-            replay_index = std::atoi(next());
-        else if (arg == "--seed") {
-            if (!parseSeed(next(), master_seed))
-                verifyUsage();
-        } else if (arg == "--jobs")
-            jobs = std::atoi(next());
+            a.number(replay_index);
+        else if (arg == "--seed")
+            a.number(master_seed);
+        else if (arg == "--jobs")
+            a.number(jobs);
         else if (arg == "--faults")
             fault_fuzz = true;
         else if (arg == "--stats")
             stats = true;
         else if (arg == "--engine") {
-            const std::string which = next();
+            const std::string which = a.next();
             if (which == "fast")
                 engine = sim::EngineMode::Fast;
             else if (which == "reference")
@@ -377,127 +401,45 @@ campaignUsage()
 }
 
 /**
- * The campaign corpus: one fuzz scenario, measured end to end. The
- * outcome reads only the report and the event count, so the run skips
- * the Chrome trace.
+ * Worker mode: serve scenario ranges over stdin/stdout. The argv flags
+ * bind a fuzz corpus up front, as the spec "corpus=fuzz seed=S
+ * faults=F engine=E"; a "spec" line from the coordinator rebinds it.
  */
-sweep::ScenarioFn
-fuzzScenarioFn(std::uint64_t master_seed, bool faults,
-               sim::EngineMode engine)
-{
-    return [master_seed, faults, engine](int index) {
-        verify::Scenario s = verify::fuzzScenario(master_seed, index);
-        s.faults = faults;
-        const verify::ScenarioResult r = verify::runScenario(
-            s, engine, verify::ResultRequest::ReportOnly);
-        sweep::ScenarioOutcome out;
-        out.e2eMeanMs = r.report.endToEndMeanMs();
-        out.events = r.eventsExecuted;
-        return out;
-    };
-}
-
-/**
- * Worker-side corpus addressing: resolve a campaign spec (the identity
- * line, "corpus=fuzz seed=S ... faults=F engine=E") into the same
- * ScenarioFn a local argv-configured worker would build. Keys other
- * than corpus/seed/faults/engine (scenarios, chunk, ...) shape the
- * coordinator's dispatch, not the per-index function, and are ignored.
- */
-sweep::SpecResolver
-fuzzSpecResolver()
-{
-    return [](const std::string &spec,
-              std::string *error) -> sweep::ScenarioFn {
-        std::string corpus;
-        std::uint64_t seed = 2021;
-        bool faults = false;
-        sim::EngineMode engine = sim::EngineMode::Fast;
-        std::size_t pos = 0;
-        while (pos < spec.size()) {
-            std::size_t sp = spec.find(' ', pos);
-            if (sp == std::string::npos)
-                sp = spec.size();
-            const std::string tok = spec.substr(pos, sp - pos);
-            pos = sp + 1;
-            const std::size_t eq = tok.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = tok.substr(0, eq);
-            const std::string val = tok.substr(eq + 1);
-            // A seed or fault flag that does not parse is a spec-err,
-            // never a silently different corpus.
-            if ((key == "seed" && !parseSeed(val.c_str(), seed)) ||
-                (key == "faults" && val != "0" && val != "1")) {
-                *error = "malformed \"" + tok + "\"";
-                return {};
-            }
-            if (key == "corpus")
-                corpus = val;
-            else if (key == "faults")
-                faults = val == "1";
-            else if (key == "engine") {
-                if (val == "fast")
-                    engine = sim::EngineMode::Fast;
-                else if (val == "reference")
-                    engine = sim::EngineMode::Reference;
-                else {
-                    *error = "unknown engine \"" + val + "\"";
-                    return {};
-                }
-            }
-        }
-        if (corpus != "fuzz") {
-            *error = "this worker only serves corpus=fuzz (got \"" +
-                     corpus + "\")";
-            return {};
-        }
-        return fuzzScenarioFn(seed, faults, engine);
-    };
-}
-
-/** Worker mode: serve scenario ranges over stdin/stdout. */
 int
 sweepServeMain(int argc, char **argv)
 {
     std::uint64_t master_seed = 2021;
     bool faults = false;
-    sim::EngineMode engine = sim::EngineMode::Fast;
+    std::string engine = "fast";
     sweep::ServeOptions opts;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                campaignUsage();
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            if (!parseSeed(next(), master_seed))
-                campaignUsage();
-        } else if (arg == "--jobs")
-            opts.jobs = std::atoi(next());
+    for (ArgWalk a{argc, argv, 2, campaignUsage}; a.more();) {
+        const std::string arg = a.flag();
+        if (arg == "--seed")
+            a.number(master_seed);
+        else if (arg == "--jobs")
+            a.number(opts.jobs);
         else if (arg == "--faults")
             faults = true;
         else if (arg == "--exit-after")
-            opts.exitAfterRanges = std::atoi(next());
+            a.number(opts.exitAfterRanges);
         else if (arg == "--engine") {
-            const std::string which = next();
-            if (which == "fast")
-                engine = sim::EngineMode::Fast;
-            else if (which == "reference")
-                engine = sim::EngineMode::Reference;
-            else
+            engine = a.next();
+            if (engine != "fast" && engine != "reference")
                 campaignUsage();
         } else
             campaignUsage();
     }
     if (opts.jobs <= 0)
         opts.jobs = 1;
+    std::string error;
+    sweep::ScenarioFn fn = verify::resolveCorpusSpec(
+        "corpus=fuzz seed=" + std::to_string(master_seed) +
+            " faults=" + (faults ? "1" : "0") + " engine=" + engine,
+        &error);
     sweep::StdioLineIO io;
-    return sweep::serveSession(io, opts,
-                               fuzzScenarioFn(master_seed, faults, engine),
-                               fuzzSpecResolver());
+    return sweep::serveSession(io, opts, std::move(fn),
+                               verify::resolveCorpusSpec);
 }
 
 /** Fleet worker daemon: `aitax_cli serve`. */
@@ -506,34 +448,28 @@ serveMain(int argc, char **argv)
 {
     sweep::DaemonOptions opts;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                campaignUsage();
-            return argv[++i];
-        };
+    for (ArgWalk a{argc, argv, 2, campaignUsage}; a.more();) {
+        const std::string arg = a.flag();
         if (arg == "--listen") {
             // A port the socket cannot hold is a usage error, never a
             // silently truncated or ephemeral bind.
-            const char *p = next();
-            if (!stats::parseInt(p, opts.port) || *p != '\0' ||
-                opts.port < 0 || opts.port > 65535)
+            a.number(opts.port);
+            if (opts.port < 0 || opts.port > 65535)
                 campaignUsage();
         } else if (arg == "--bind")
-            opts.bindAddr = next();
+            opts.bindAddr = a.next();
         else if (arg == "--jobs")
-            opts.jobs = std::atoi(next());
+            a.number(opts.jobs);
         else if (arg == "--accept")
-            opts.acceptLimit = std::atoi(next());
+            a.number(opts.acceptLimit);
         else if (arg == "--port-file")
-            opts.portFile = next();
+            opts.portFile = a.next();
         else
             campaignUsage();
     }
     if (opts.jobs <= 0)
         opts.jobs = 1;
-    return sweep::runServeDaemon(opts, fuzzSpecResolver());
+    return sweep::runServeDaemon(opts, verify::resolveCorpusSpec);
 }
 
 /** Coordinator mode: shard the corpus across worker processes. */
@@ -550,46 +486,40 @@ campaignMain(int argc, char **argv)
     bool stats = false;
     double gate_eps = -1.0;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                campaignUsage();
-            return argv[++i];
-        };
+    for (ArgWalk a{argc, argv, 2, campaignUsage}; a.more();) {
+        const std::string arg = a.flag();
         if (arg == "--scenarios")
-            cfg.scenarios = std::atoi(next());
+            a.number(cfg.scenarios);
         else if (arg == "--shards")
-            cfg.shards = std::atoi(next());
+            a.number(cfg.shards);
         else if (arg == "--jobs")
-            jobs = std::atoi(next());
-        else if (arg == "--seed") {
-            if (!parseSeed(next(), master_seed))
-                campaignUsage();
-        } else if (arg == "--chunk")
-            cfg.chunk = std::atoi(next());
+            a.number(jobs);
+        else if (arg == "--seed")
+            a.number(master_seed);
+        else if (arg == "--chunk")
+            a.number(cfg.chunk);
         else if (arg == "--faults")
             faults = true;
         else if (arg == "--engine") {
-            engine = next();
+            engine = a.next();
             if (engine != "fast" && engine != "reference")
                 campaignUsage();
         } else if (arg == "--checkpoint")
-            cfg.checkpointPath = next();
+            cfg.checkpointPath = a.next();
         else if (arg == "--resume")
             cfg.resume = true;
         else if (arg == "--out")
-            out_path = next();
+            out_path = a.next();
         else if (arg == "--stats")
             stats = true;
         else if (arg == "--gate")
-            gate_eps = std::atof(next());
+            a.number(gate_eps);
         else if (arg == "--stop-after-chunks")
-            cfg.stopAfterChunks = std::atoi(next());
+            a.number(cfg.stopAfterChunks);
         else if (arg == "--kill-worker-after")
-            cfg.killWorkerAfterRanges = std::atoi(next());
+            a.number(cfg.killWorkerAfterRanges);
         else if (arg == "--workers") {
-            const std::string list = next();
+            const std::string list = a.next();
             std::size_t pos = 0;
             while (pos <= list.size()) {
                 std::size_t comma = list.find(',', pos);
@@ -603,7 +533,7 @@ campaignMain(int argc, char **argv)
             if (cfg.workers.empty())
                 campaignUsage();
         } else if (arg == "--worker-deadline")
-            cfg.workerDeadlineSeconds = std::atof(next());
+            a.number(cfg.workerDeadlineSeconds);
         else
             campaignUsage();
     }
@@ -616,19 +546,10 @@ campaignMain(int argc, char **argv)
                    " chunk=" + std::to_string(cfg.chunk) +
                    " faults=" + (faults ? "1" : "0") +
                    " engine=" + engine;
-    // Workers resolve the corpus from the spec; the argv flags bind
-    // the same corpus up front.
+    // Workers resolve the corpus from the spec.
     cfg.corpusSpec = cfg.identity;
-    cfg.workerCmd = {sweep::selfExecutablePath(argv[0]),
-                     "sweep-serve",
-                     "--seed",
-                     std::to_string(master_seed),
-                     "--jobs",
-                     std::to_string(jobs),
-                     "--engine",
-                     engine};
-    if (faults)
-        cfg.workerCmd.push_back("--faults");
+    cfg.workerCmd = {sweep::selfExecutablePath(argv[0]), "sweep-serve",
+                     "--jobs", std::to_string(jobs)};
 
     // runCampaign reads steady_clock for the wall-seconds line on the
     // human progress report only; nothing wall-derived reaches the
@@ -731,42 +652,36 @@ main(int argc, char **argv)
     bool stats = false;
     std::string chrome_trace_path;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
+    for (ArgWalk a{argc, argv, 1, [argv] { usage(argv[0]); }}; a.more();) {
+        const std::string arg = a.flag();
         if (arg == "--model")
-            model = next();
+            model = a.next();
         else if (arg == "--dtype")
-            dtype = next();
+            dtype = a.next();
         else if (arg == "--framework")
-            framework = next();
+            framework = a.next();
         else if (arg == "--mode")
-            mode = next();
+            mode = a.next();
         else if (arg == "--soc")
-            soc_name = next();
+            soc_name = a.next();
         else if (arg == "--runs")
-            runs = std::atoi(next());
+            a.number(runs);
         else if (arg == "--threads")
-            threads = std::atoi(next());
-        else if (arg == "--seed") {
-            if (!parseSeed(next(), seed))
-                usage(argv[0]);
-        } else if (arg == "--instrument")
+            a.number(threads);
+        else if (arg == "--seed")
+            a.number(seed);
+        else if (arg == "--instrument")
             instrument = true;
         else if (arg == "--pre-on-dsp")
             pre_on_dsp = true;
         else if (arg == "--streaming")
             streaming = true;
         else if (arg == "--faults")
-            faults_spec = next();
+            faults_spec = a.next();
         else if (arg == "--timeline")
             timeline = true;
         else if (arg == "--chrome-trace")
-            chrome_trace_path = next();
+            chrome_trace_path = a.next();
         else if (arg == "--energy")
             energy = true;
         else if (arg == "--stats")
