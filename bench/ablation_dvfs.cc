@@ -33,7 +33,9 @@ runWithGap(bool dvfs_enabled, sim::DurationNs gap)
 {
     auto platform = soc::makeSnapdragon845();
     platform.dvfs.enabled = dvfs_enabled;
-    // Idle gaps let DVFS decay. aitax-lint: allow(hand-built-system)
+    // The runner has no DVFS on/off knob in Scenario and schedules one
+    // batch of runs with no idle gaps between invocations, which let
+    // DVFS decay here. aitax-lint: allow(hand-built-system)
     soc::SocSystem sys(platform, 7);
 
     app::PipelineConfig cfg;

@@ -29,7 +29,9 @@ runWithRpc(const soc::FastRpcConfig &rpc)
 {
     auto platform = soc::makeSnapdragon845();
     platform.fastrpc = rpc;
-    // Typed FastRpcConfig sweep. aitax-lint: allow(hand-built-system)
+    // Scenario has no typed FastRpcConfig delta, and the runner builds
+    // its SocConfig from the platform name alone; this sweep edits
+    // platform.fastrpc. aitax-lint: allow(hand-built-system)
     soc::SocSystem sys(platform, 7);
     app::PipelineConfig cfg;
     cfg.model = models::findModel("mobilenet_v1");

@@ -29,7 +29,9 @@ sustainedRun(bool thermal_enabled, int chunks, int runs_per_chunk,
     platform.thermal.coolingTauSec = 30.0;
     platform.thermal.throttleThreshold = 2.0;
     platform.thermal.throttledFactor = 0.65;
-    // Idle gaps let the SoC cool. aitax-lint: allow(hand-built-system)
+    // The runner has no thermal-model knob in Scenario and schedules
+    // one batch of runs with no idle gaps between chunks, which let the
+    // SoC cool here. aitax-lint: allow(hand-built-system)
     soc::SocSystem sys(platform, 7);
 
     app::PipelineConfig cfg;

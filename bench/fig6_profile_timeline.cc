@@ -19,14 +19,15 @@ void
 runAndRender(app::FrameworkKind fw, const char *title,
              bool dsp_probe_at_start)
 {
-    // FastRPC probe + timeline. aitax-lint: allow(hand-built-system)
-    soc::SocSystem sys(soc::makeSnapdragon845(), 7);
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("efficientnet_lite0");
-    cfg.dtype = tensor::DType::UInt8;
-    cfg.framework = fw;
-    cfg.mode = app::HarnessMode::BenchmarkApp;
-    app::Application application(sys, cfg);
+    verify::Scenario spec = bench::scenario();
+    spec.modelId = "efficientnet_lite0";
+    spec.dtype = tensor::DType::UInt8;
+    spec.framework = fw;
+    spec.mode = app::HarnessMode::BenchmarkApp;
+    spec.runs = 12;
+    verify::ScenarioRun run(spec, sim::EngineMode::Fast);
+    run.buildApplication();
+    soc::SocSystem &sys = run.system();
 
     if (dsp_probe_at_start) {
         // NNAPI compilation probes the vendor DSP driver before giving
@@ -40,19 +41,19 @@ runAndRender(app::FrameworkKind fw, const char *title,
         sys.fastrpc().call(99, 1.0e6, std::move(probe), {});
     }
 
-    core::TaxReport report;
-    sim::TimeNs runs_done = 0;
-    application.scheduleRuns(
-        12, report, [&](sim::TimeNs t) { runs_done = t; });
-    sys.run();
+    run.warmUp();
+    run.runFrames();
+    const verify::ScenarioResult r =
+        run.collect(verify::ResultRequest::ReportOnly);
 
     std::printf("--- %s ---\n", title);
     std::printf("inference mean %.2f ms, E2E mean %.2f ms\n",
-                report.stageMeanMs(core::Stage::Inference),
-                report.endToEndMeanMs());
+                r.report.stageMeanMs(core::Stage::Inference),
+                r.report.endToEndMeanMs());
     trace::RenderOptions opts;
     opts.buckets = 72;
-    trace::renderTimeline(std::cout, sys.tracer(), 0, runs_done, opts);
+    trace::renderTimeline(std::cout, sys.tracer(), 0, r.framesDoneNs,
+                          opts);
     std::printf("scheduler: %lld context switches, %lld migrations, "
                 "DSP jobs completed: %lld\n\n",
                 static_cast<long long>(sys.scheduler().contextSwitches()),

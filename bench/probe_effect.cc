@@ -3,11 +3,10 @@
  * Section III-D reproduction: the probe effect of driver
  * instrumentation — 4-7% on hardware-accelerated inference, none on
  * CPU paths — plus the probe effect of our *own* instrumentation: the
- * tracer record path. The second half measures events/sec with
- * tracing on vs. off and the interned record path against the old
- * string-keyed design, and emits a checksum-verified BENCH_trace.json
- * so the tracer perf trajectory has data points (like
- * BENCH_sweep.json does for the sweep pool).
+ * tracer. The second half measures simulator events/sec with tracing
+ * on vs. off and writes BENCH_trace.json, the tracer's perf trajectory
+ * (like BENCH_sweep.json for the sweep pool). The record path alone is
+ * micro_kernels' BM_TracerRecord* cases.
  *
  * Usage: probe_effect [--jobs N] [--trace-out FILE]
  */
@@ -16,12 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "trace/chrome_trace.h"
 
 namespace {
 
@@ -34,140 +32,6 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/**
- * Replica of the pre-interning tracer storage: a string-keyed ordered
- * map of AoS interval vectors, with a std::string label stored per
- * event. This is the baseline the interned path is measured against.
- */
-struct LegacyMapTracer
-{
-    struct Interval
-    {
-        std::string label;
-        sim::TimeNs begin;
-        sim::TimeNs end;
-    };
-    std::map<std::string, std::vector<Interval>> tracks;
-
-    void
-    recordInterval(const std::string &track, const std::string &label,
-                   sim::TimeNs begin, sim::TimeNs end)
-    {
-        if (end <= begin)
-            return;
-        tracks[track].push_back({label, begin, end});
-    }
-};
-
-constexpr int kRecordEvents = 1'000'000;
-
-/** Deterministic pseudo-scenario for the record benchmarks. */
-struct RecordOp
-{
-    int track;
-    int label;
-    sim::TimeNs begin;
-    sim::TimeNs end;
-};
-
-std::vector<RecordOp>
-makeRecordOps()
-{
-    std::vector<RecordOp> ops;
-    ops.reserve(kRecordEvents);
-    std::uint64_t s = 0x2545F4914F6CDD1Dull;
-    sim::TimeNs now = 0;
-    for (int i = 0; i < kRecordEvents; ++i) {
-        s = s * 6364136223846793005ull + 1442695040888963407ull;
-        const auto r = s >> 33;
-        RecordOp op;
-        op.track = static_cast<int>(r % 8);
-        op.label = static_cast<int>((r >> 8) % 16);
-        op.begin = now;
-        op.end = now + 1 + static_cast<sim::TimeNs>(r % 1000);
-        now += 500;
-        ops.push_back(op);
-    }
-    return ops;
-}
-
-std::string
-recTrackName(int i)
-{
-    return "core" + std::to_string(i);
-}
-
-std::string
-recLabelName(int i)
-{
-    return "job_" + std::to_string(i);
-}
-
-/** Events/sec of the legacy string-keyed map baseline. */
-double
-benchLegacyRecord(const std::vector<RecordOp> &ops)
-{
-    std::vector<std::string> tracks, labels;
-    for (int i = 0; i < 8; ++i)
-        tracks.push_back(recTrackName(i));
-    for (int i = 0; i < 16; ++i)
-        labels.push_back(recLabelName(i));
-    LegacyMapTracer t;
-    const auto t0 = Clock::now();
-    for (const RecordOp &op : ops)
-        t.recordInterval(tracks[static_cast<std::size_t>(op.track)],
-                         labels[static_cast<std::size_t>(op.label)],
-                         op.begin, op.end);
-    const double s = secondsSince(t0);
-    return static_cast<double>(ops.size()) / s;
-}
-
-/** Events/sec of the interned id-based record path (steady state). */
-double
-benchInternedRecord(const std::vector<RecordOp> &ops,
-                    trace::Tracer &out)
-{
-    std::vector<trace::TrackId> tracks;
-    for (int i = 0; i < 8; ++i)
-        tracks.push_back(out.internTrack(recTrackName(i)));
-    std::vector<trace::LabelId> labels;
-    for (int i = 0; i < 16; ++i)
-        labels.push_back(out.internLabel(recLabelName(i)));
-    // Warm capacity so the measured pass is the zero-allocation
-    // steady state (the contract test_trace_alloc.cc asserts).
-    for (const RecordOp &op : ops)
-        out.recordInterval(tracks[static_cast<std::size_t>(op.track)],
-                           labels[static_cast<std::size_t>(op.label)],
-                           op.begin, op.end);
-    out.clear();
-    const auto t0 = Clock::now();
-    for (const RecordOp &op : ops)
-        out.recordInterval(tracks[static_cast<std::size_t>(op.track)],
-                           labels[static_cast<std::size_t>(op.label)],
-                           op.begin, op.end);
-    const double s = secondsSince(t0);
-    return static_cast<double>(ops.size()) / s;
-}
-
-/** Events/sec through the legacy string overloads (wrapper cost). */
-double
-benchStringApiRecord(const std::vector<RecordOp> &ops)
-{
-    std::vector<std::string> tracks, labels;
-    for (int i = 0; i < 8; ++i)
-        tracks.push_back(recTrackName(i));
-    for (int i = 0; i < 16; ++i)
-        labels.push_back(recLabelName(i));
-    trace::Tracer t;
-    const auto t0 = Clock::now();
-    for (const RecordOp &op : ops)
-        t.recordInterval(tracks[static_cast<std::size_t>(op.track)],
-                         labels[static_cast<std::size_t>(op.label)],
-                         op.begin, op.end);
-    const double s = secondsSince(t0);
-    return static_cast<double>(ops.size()) / s;
-}
-
 struct ScenarioProbe
 {
     double on_events_per_sec = 0.0;
@@ -178,34 +42,30 @@ struct ScenarioProbe
 /**
  * Probe effect of the tracer on a full simulation: the same scenario
  * with collection enabled and disabled, in simulator events/sec of
- * host wall-clock. The system is built by hand, not by
- * verify::ScenarioRun, because the probe switches the tracer off
- * before the application exists and times the event loop alone.
+ * host wall-clock over ScenarioRun::runFrames() (the event loop). The
+ * tracer goes off before the application exists.
  */
 ScenarioProbe
 benchScenarioProbe()
 {
-    constexpr int kProbeRuns = 300;
-    const soc::SocConfig platform = soc::platformByName("Snapdragon 845");
-    app::PipelineConfig cfg;
-    cfg.model = models::findModel("mobilenet_v1");
-    cfg.dtype = tensor::DType::UInt8;
-    cfg.framework = app::FrameworkKind::TfliteHexagon;
-    cfg.mode = app::HarnessMode::AndroidApp;
+    verify::Scenario spec = bench::scenario();
+    spec.dtype = tensor::DType::UInt8;
+    spec.framework = app::FrameworkKind::TfliteHexagon;
+    spec.mode = app::HarnessMode::AndroidApp;
+    spec.runs = 300;
 
     auto run_once = [&](bool tracing) {
-        // Tracer switched off. aitax-lint: allow(hand-built-system)
-        soc::SocSystem sys(platform, /*seed=*/7);
-        sys.tracer().setEnabled(tracing);
-        app::Application application(sys, cfg);
-        core::TaxReport report;
-        application.scheduleRuns(kProbeRuns, report);
+        verify::ScenarioRun run(spec, sim::EngineMode::Fast);
+        run.system().tracer().setEnabled(tracing);
+        run.buildApplication();
+        run.warmUp();
         const auto t0 = Clock::now();
-        sys.run();
+        run.runFrames();
         const double s = secondsSince(t0);
-        const auto events = sys.simulator().eventsExecuted();
+        const auto events = run.system().simulator().eventsExecuted();
         return std::pair<double, std::int64_t>(
-            static_cast<double>(events) / s, events);
+            static_cast<double>(events) / s,
+            static_cast<std::int64_t>(events));
     };
 
     ScenarioProbe probe;
@@ -224,24 +84,6 @@ benchScenarioProbe()
         probe.events = on.second;
     }
     return probe;
-}
-
-/**
- * Serialization checksum: the tracer filled by the interned record
- * pass must serialize byte-identically to one filled through the
- * string API with the same data.
- */
-bool
-traceChecksumMatches(const trace::Tracer &interned,
-                     const std::vector<RecordOp> &ops)
-{
-    trace::Tracer via_string;
-    for (const RecordOp &op : ops)
-        via_string.recordInterval(recTrackName(op.track),
-                                  recLabelName(op.label), op.begin,
-                                  op.end);
-    return trace::chromeTraceString(via_string) ==
-           trace::chromeTraceString(interned);
 }
 
 } // namespace
@@ -328,30 +170,11 @@ main(int argc, char **argv)
     }
     table.render(std::cout);
 
-    // --- our own probe effect: the tracer record path ---------------
+    // --- our own probe effect: the tracer ------------------------------
     bench::heading(
         "Probe effect of the tracer itself",
         "Section III-D, applied to our instrumentation",
-        "the interned record path is multiples faster than the old "
-        "string-keyed design, and disabling tracing barely moves "
-        "simulator throughput");
-
-    const auto ops = makeRecordOps();
-    const double legacy_eps = benchLegacyRecord(ops);
-    const double string_eps = benchStringApiRecord(ops);
-    trace::Tracer interned;
-    const double interned_eps = benchInternedRecord(ops, interned);
-    const double record_speedup =
-        legacy_eps > 0.0 ? interned_eps / legacy_eps : 0.0;
-
-    std::printf("record path, %d intervals:\n", kRecordEvents);
-    std::printf("  legacy string-keyed map  %10.2f M events/s\n",
-                legacy_eps / 1e6);
-    std::printf("  string API (re-intern)   %10.2f M events/s\n",
-                string_eps / 1e6);
-    std::printf("  interned id API          %10.2f M events/s  "
-                "(%.1fx vs legacy)\n",
-                interned_eps / 1e6, record_speedup);
+        "disabling tracing barely moves simulator throughput");
 
     const auto probe = benchScenarioProbe();
     const double probe_pct =
@@ -368,37 +191,21 @@ main(int argc, char **argv)
                 "(tracing costs %.1f%%)\n",
                 probe.off_events_per_sec / 1e6, probe_pct);
 
-    const bool checksum_match = traceChecksumMatches(interned, ops);
-    std::printf("  serialization checksum: id API vs string API %s\n",
-                checksum_match ? "match" : "MISMATCH");
-
     std::ofstream out(trace_out);
     if (!out) {
         std::fprintf(stderr, "cannot open %s\n", trace_out.c_str());
         return 1;
     }
     char buf[64];
-    out << "{\n"
-        << "  \"record_events\": " << kRecordEvents << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.0f", legacy_eps);
-    out << "  \"legacy_events_per_sec\": " << buf << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.0f", string_eps);
-    out << "  \"string_api_events_per_sec\": " << buf << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.0f", interned_eps);
-    out << "  \"interned_events_per_sec\": " << buf << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.3f", record_speedup);
-    out << "  \"record_speedup\": " << buf << ",\n";
+    out << "{\n";
     std::snprintf(buf, sizeof(buf), "%.0f", probe.on_events_per_sec);
     out << "  \"sim_events_per_sec_tracing_on\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.0f", probe.off_events_per_sec);
     out << "  \"sim_events_per_sec_tracing_off\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.3f", probe_pct);
-    out << "  \"tracing_overhead_pct\": " << buf << ",\n";
-    out << "  \"checksum_match\": "
-        << (checksum_match ? "true" : "false") << "\n"
+    out << "  \"tracing_overhead_pct\": " << buf << "\n"
         << "}\n";
     out.close();
     std::printf("  wrote %s\n", trace_out.c_str());
-
-    return checksum_match ? 0 : 1;
+    return 0;
 }

@@ -70,14 +70,16 @@ checksum(const std::vector<core::TaxReport> &reports)
 }
 
 /**
- * One report-only Fast run whose construction (verify::ScenarioRun's
- * constructor) is timed on its own and added to @p setup_s.
+ * One report-only Fast run whose system and application construction
+ * (verify::ScenarioRun's constructor and buildApplication()) is timed
+ * on its own and added to @p setup_s.
  */
 verify::ScenarioResult
 runTimingSetup(const verify::Scenario &s, double &setup_s)
 {
     const auto t0 = Clock::now();
     verify::ScenarioRun run(s, sim::EngineMode::Fast);
+    run.buildApplication();
     setup_s += secondsSince(t0);
     return run.finish(verify::ResultRequest::ReportOnly);
 }

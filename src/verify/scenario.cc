@@ -265,29 +265,6 @@ buildLoops(sim::Arena &arena, soc::SocSystem &sys, const Scenario &s)
 }
 
 /**
- * Everything after quiescence: witnesses, meters and, for a Full
- * request, the trace.
- */
-void
-collectResult(soc::SocSystem &sys, app::Application &application,
-              ResultRequest request, ScenarioResult &out)
-{
-    out.rpcLog = application.rpcLog();
-    out.frameLog = application.frameLog();
-    if (sys.faults() != nullptr)
-        out.faultStats = sys.faults()->stats();
-    out.energyMj = sys.energy().totalMj();
-    for (std::size_t i = 0; i < soc::kAllPowerDomains.size(); ++i)
-        out.domainMj[i] = sys.energy().domainMj(soc::kAllPowerDomains[i]);
-    out.thermalSpeedFactor = sys.thermal().speedFactor();
-    out.eventsExecuted = sys.simulator().eventsExecuted();
-    out.frontCacheHits = sys.simulator().frontCacheHits();
-    if (request == ResultRequest::ReportOnly)
-        return;
-    out.chromeTraceJson = trace::chromeTraceString(sys.tracer());
-}
-
-/**
  * True when @p snap can stand in for this system's own warm-up: every
  * thermal emergency in the armed plan must fire strictly after the
  * snapshot time, otherwise the emergency would have altered (or
@@ -337,17 +314,40 @@ ScenarioRun::ScenarioRun(const Scenario &s, sim::EngineMode engine)
       sys_(*scenarioArena().create<soc::SocSystem>(
           socConfigFor(s), s.seed, engine,
           &scenarioArena())),
-      seqBase_(armFaultsForSnapshot(sys_, s)),
-      application_(*scenarioArena().create<app::Application>(
-          sys_, pipelineConfigFor(s))),
-      loops_(buildLoops(scenarioArena(), sys_, s))
+      seqBase_(armFaultsForSnapshot(sys_, s)), armed_(sys_.faults())
 {
 }
 
 // The arena guard resets the arena, running the finalizers of the
-// system, application and loops; finish()'s result holds no pointers
+// system, application and loops; collect()'s result holds no pointers
 // into it.
 ScenarioRun::~ScenarioRun() = default;
+
+void
+ScenarioRun::enter(Step step)
+{
+    if (step != next_)
+        throw std::logic_error("ScenarioRun steps run once each, in order");
+    next_ = static_cast<Step>(static_cast<int>(step) + 1);
+}
+
+app::Application &
+ScenarioRun::application()
+{
+    if (application_ == nullptr)
+        throw std::logic_error("ScenarioRun::application() before "
+                               "buildApplication()");
+    return *application_;
+}
+
+void
+ScenarioRun::buildApplication()
+{
+    enter(Step::BuildApplication);
+    application_ = scenarioArena().create<app::Application>(
+        sys_, pipelineConfigFor(s_));
+    loops_ = buildLoops(scenarioArena(), sys_, s_);
+}
 
 /**
  * The warm-up prefix. On the Fast engine a snapshot-eligible scenario
@@ -356,10 +356,17 @@ ScenarioRun::~ScenarioRun() = default;
  * publishes its capture. Reuse or capture failing only ever falls back
  * to executing the warm-up, never to a different result.
  */
-void
-ScenarioRun::warmUp(core::TaxReport &report)
+WarmupOutcome
+ScenarioRun::warmUp()
 {
-    const bool memo = engine_ == sim::EngineMode::Fast &&
+    enter(Step::WarmUp);
+    if (s_.mode != app::HarnessMode::CliBenchmark)
+        return WarmupOutcome::WithFrames;
+    // An event scheduled, or faults armed, through system() since the
+    // constructor is not in the snapshot key.
+    const bool untouched = sys_.simulator().seqWatermark() == seqBase_ &&
+                           sys_.faults() == armed_;
+    const bool memo = untouched && engine_ == sim::EngineMode::Fast &&
                       classifySnapshotUse(s_) == SnapshotUse::Eligible;
     std::string key;
     std::shared_ptr<const soc::WarmupSnapshot> cached;
@@ -370,43 +377,77 @@ ScenarioRun::warmUp(core::TaxReport &report)
     }
     if (cached && snapshotUsable(sys_.faults(), *cached)) {
         sys_.restoreWarmup(*cached);
-        application_.adoptRestoredWarmup();
-        return;
+        application_->adoptRestoredWarmup();
+        return WarmupOutcome::Restored;
     }
-    application_.scheduleWarmup(s_.runs, report);
+    application_->scheduleWarmup(s_.runs, out_.report);
     sys_.simulator().runUntilCondition(
-        [this] { return application_.warmupComplete(); });
+        [this] { return application_->warmupComplete(); });
     if (memo && !cached) {
         auto snap = std::make_shared<soc::WarmupSnapshot>();
         if (sys_.captureWarmup(*snap, seqBase_))
             sweep::snapshotCacheStore(key, std::move(snap));
     }
+    return WarmupOutcome::Executed;
+}
+
+void
+ScenarioRun::runFrames()
+{
+    enter(Step::RunFrames);
+    auto frames_done = [this](sim::TimeNs t) {
+        out_.framesDoneNs = t;
+        for (auto *loop : loops_)
+            loop->stop();
+    };
+    if (s_.mode == app::HarnessMode::CliBenchmark) {
+        for (auto *loop : loops_)
+            loop->start(sys_.simulator().now() + sim::secToNs(60.0));
+        application_->scheduleFramesAfterWarmup(s_.runs, out_.report,
+                                                frames_done);
+    } else {
+        for (auto *loop : loops_)
+            loop->start(sim::secToNs(60.0));
+        application_->scheduleRuns(s_.runs, out_.report, frames_done);
+    }
+    out_.endTimeNs = sys_.run();
+}
+
+/**
+ * Everything after quiescence: witnesses, meters and, for a Full
+ * request, the trace.
+ */
+ScenarioResult
+ScenarioRun::collect(ResultRequest request)
+{
+    enter(Step::Collect);
+    out_.rpcLog = application_->rpcLog();
+    out_.frameLog = application_->frameLog();
+    if (sys_.faults() != nullptr)
+        out_.faultStats = sys_.faults()->stats();
+    out_.energyMj = sys_.energy().totalMj();
+    for (std::size_t i = 0; i < soc::kAllPowerDomains.size(); ++i)
+        out_.domainMj[i] = sys_.energy().domainMj(soc::kAllPowerDomains[i]);
+    out_.thermalSpeedFactor = sys_.thermal().speedFactor();
+    out_.eventsExecuted = sys_.simulator().eventsExecuted();
+    out_.frontCacheHits = sys_.simulator().frontCacheHits();
+    for (const auto *loop : loops_)
+        out_.backgroundInferences += loop->completedInferences();
+    if (request == ResultRequest::Full)
+        out_.chromeTraceJson = trace::chromeTraceString(sys_.tracer());
+    return std::move(out_);
 }
 
 ScenarioResult
 ScenarioRun::finish(ResultRequest request)
 {
-    ScenarioResult out;
-    auto stop_loops = [this](sim::TimeNs) {
-        for (auto *loop : loops_)
-            loop->stop();
-    };
-    if (s_.mode == app::HarnessMode::CliBenchmark) {
-        warmUp(out.report);
-        for (auto *loop : loops_)
-            loop->start(sys_.simulator().now() + sim::secToNs(60.0));
-        application_.scheduleFramesAfterWarmup(s_.runs, out.report,
-                                               stop_loops);
-    } else {
-        for (auto *loop : loops_)
-            loop->start(sim::secToNs(60.0));
-        application_.scheduleRuns(s_.runs, out.report, stop_loops);
-    }
-    out.endTimeNs = sys_.run();
-    collectResult(sys_, application_, request, out);
-    for (const auto *loop : loops_)
-        out.backgroundInferences += loop->completedInferences();
-    return out;
+    if (next_ == Step::BuildApplication)
+        buildApplication();
+    if (next_ == Step::WarmUp)
+        warmUp();
+    if (next_ == Step::RunFrames)
+        runFrames();
+    return collect(request);
 }
 
 ScenarioResult

@@ -117,6 +117,11 @@ struct ScenarioResult
     std::string chromeTraceJson;
     /** Simulated time at quiescence. */
     sim::TimeNs endTimeNs = 0;
+    /**
+     * Simulated time the last frame finished. App-mode interference
+     * runs on after it, so it can precede endTimeNs.
+     */
+    sim::TimeNs framesDoneNs = 0;
     /** Total energy over the run. */
     double energyMj = 0.0;
     /** Energy per power domain, indexed like soc::kAllPowerDomains. */
@@ -179,19 +184,40 @@ enum class ResultRequest
     ReportOnly, ///< every field except chromeTraceJson, left empty
 };
 
+/** What ScenarioRun::warmUp() did with the warm-up prefix. */
+enum class WarmupOutcome
+{
+    Restored,   ///< a cached snapshot stood in for it
+    Executed,   ///< it ran as events (a snapshot miss, or no memo)
+    WithFrames, ///< app mode: it interleaves with the frames, in runFrames()
+};
+
 /**
- * One scenario run, split at its one seam so a harness can time
- * construction on its own. The constructor builds the system, the
- * application and the (not yet started) background loops in
- * scenarioArena(); finish() runs the warm-up — or, on the Fast engine
- * for a snapshot-eligible scenario, restores it from the snapshot
- * cache, publishing a capture on a miss — then the frames, and
- * collects the result. CLI-benchmark runs use the split warm-up
- * schedule on both engines (warm-up, then background-loop start, then
- * frames), which is event-for-event identical to a single
- * scheduleRuns() (app/pipeline.h), so a restored run is byte-identical
- * to a Reference run. App-mode runs keep the single-shot schedule:
- * their interference interleaves with the warm-up by design.
+ * One scenario run as public steps, so a caller can time each layer
+ * or act on the system between them. Call the steps once each, in
+ * order (std::logic_error otherwise):
+ *  - the constructor validates the scenario, takes scenarioArena()'s
+ *    reset guard, builds the SocSystem and arms Scenario::faults;
+ *  - buildApplication() builds the Application and the (not yet
+ *    started) background loops;
+ *  - warmUp() runs the warm-up — or, on the Fast engine for a
+ *    snapshot-eligible scenario, restores it from the snapshot cache,
+ *    publishing a capture on a miss;
+ *  - runFrames() starts the loops, schedules the frames and runs the
+ *    simulation to quiescence;
+ *  - collect() copies the witnesses, meters and (Full) the trace out.
+ * finish() runs whatever steps remain.
+ *
+ * CLI-benchmark runs use the split warm-up schedule on both engines
+ * (warm-up, then background-loop start, then frames), which is
+ * event-for-event identical to a single scheduleRuns()
+ * (app/pipeline.h), so a restored run is byte-identical to a
+ * Reference run. App-mode runs keep the single-shot schedule: their
+ * interference interleaves with the warm-up by design.
+ *
+ * A snapshot is restored or captured only while the seq watermark and
+ * the armed fault injector are the ones the constructor left: an event
+ * scheduled or faults armed through system() make warmUp() execute.
  *
  * The destructor resets the thread's arena, so at most one
  * ScenarioRun may be live per thread, and @p s must outlive it.
@@ -200,7 +226,7 @@ class ScenarioRun
 {
   public:
     /**
-     * Build the run. Throws std::invalid_argument, naming
+     * Build the system. Throws std::invalid_argument, naming
      * s.describe(), when !scenarioValid(s).
      */
     ScenarioRun(const Scenario &s, sim::EngineMode engine);
@@ -208,24 +234,46 @@ class ScenarioRun
     ScenarioRun(const ScenarioRun &) = delete;
     ScenarioRun &operator=(const ScenarioRun &) = delete;
 
+    void buildApplication();
+    WarmupOutcome warmUp();
+    void runFrames();
     /**
-     * Warm up (or restore), run to quiescence and collect. Call once.
-     * With @p request ReportOnly the result's chromeTraceJson is empty
-     * and every other field equals the Full result's.
+     * The result. With @p request ReportOnly its chromeTraceJson is
+     * empty and every other field equals the Full result's.
      */
+    ScenarioResult collect(ResultRequest request);
+
+    /** The remaining steps, then collect(@p request). */
     ScenarioResult finish(ResultRequest request);
 
+    soc::SocSystem &system() { return sys_; }
+    /** The application; built by buildApplication(). */
+    app::Application &application();
+
   private:
+    enum class Step
+    {
+        BuildApplication,
+        WarmUp,
+        RunFrames,
+        Collect,
+        Done,
+    };
+
     const Scenario &s_;
     sim::EngineMode engine_;
     sim::ArenaResetGuard arenaGuard_;
     soc::SocSystem &sys_;
     /** Seq watermark after fault arming: the snapshot seq base. */
     std::uint64_t seqBase_;
-    app::Application &application_;
+    /** The injector the constructor armed (nullptr: none). */
+    const faults::FaultInjector *armed_;
+    app::Application *application_ = nullptr;
     std::vector<app::BackgroundInferenceLoop *> loops_;
+    ScenarioResult out_;
+    Step next_ = Step::BuildApplication;
 
-    void warmUp(core::TaxReport &report);
+    void enter(Step step);
 };
 
 /**

@@ -10,6 +10,10 @@
  * equal in every field but the trace, which it leaves empty, on both
  * engines, with faults armed, and on snapshot misses and hits.
  *
+ * ScenarioRun's public steps, called one by one, must equal finish()
+ * over the same corpus; and a system touched through system() between
+ * the steps must never restore or capture a snapshot.
+ *
  * Also the negative side of the memoization contract: scenarios that
  * share a warm-up prefix but diverge in streaming, faults, background
  * load or a bench knob must never share a snapshot, either because the
@@ -20,10 +24,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "faults/fault_plan.h"
 #include "soc/chipsets.h"
 #include "sweep/snapshot_cache.h"
 #include "sweep/sweep_runner.h"
@@ -267,6 +274,147 @@ TEST(Differential, JobsInvarianceFaultsOff)
 TEST(Differential, JobsInvarianceFaultsOn)
 {
     expectJobsInvariant(/*faults=*/true);
+}
+
+// --- ScenarioRun's public steps ---------------------------------------
+
+/**
+ * @p s through the explicit step sequence, with @p touch applied to
+ * the system right after construction. @p outcome receives what
+ * warmUp() did.
+ */
+ScenarioResult
+runSteps(const Scenario &s, sim::EngineMode engine, WarmupOutcome *outcome,
+         const std::function<void(soc::SocSystem &)> &touch = {})
+{
+    ScenarioRun run(s, engine);
+    if (touch)
+        touch(run.system());
+    run.buildApplication();
+    *outcome = run.warmUp();
+    run.runFrames();
+    return run.collect(ResultRequest::Full);
+}
+
+/**
+ * The corpus through the steps equals finish() on both engines, on a
+ * Fast snapshot miss and on a Fast hit. warmUp() reports the miss as
+ * Executed and, for a fault-free eligible row, the hit as Restored;
+ * app-mode rows warm up with their frames.
+ */
+void
+expectStepsMatchFinish(bool faults)
+{
+    int restored = 0;
+    for (const Scenario &s : differentialCorpus(faults)) {
+        const bool cli = s.mode == app::HarnessMode::CliBenchmark;
+        const WarmupOutcome in_frames =
+            cli ? WarmupOutcome::Executed : WarmupOutcome::WithFrames;
+        WarmupOutcome outcome{};
+        EXPECT_EQ(resultBytes(runSteps(s, sim::EngineMode::Reference,
+                                       &outcome)),
+                  resultBytes(runScenario(s, sim::EngineMode::Reference)))
+            << s.describe();
+        EXPECT_EQ(outcome, in_frames) << s.describe();
+
+        sweep::snapshotCacheClearForTest();
+        const std::string finish_miss =
+            resultBytes(runScenario(s, sim::EngineMode::Fast));
+        sweep::snapshotCacheClearForTest();
+        EXPECT_EQ(resultBytes(runSteps(s, sim::EngineMode::Fast, &outcome)),
+                  finish_miss)
+            << "miss: " << s.describe();
+        EXPECT_EQ(outcome, in_frames) << s.describe();
+
+        const std::string steps_hit =
+            resultBytes(runSteps(s, sim::EngineMode::Fast, &outcome));
+        EXPECT_EQ(steps_hit, finish_miss) << "hit: " << s.describe();
+        EXPECT_EQ(steps_hit, resultBytes(runScenario(s, sim::EngineMode::Fast)))
+            << "hit: " << s.describe();
+        if (cli && !faults) {
+            EXPECT_EQ(outcome, WarmupOutcome::Restored) << s.describe();
+        }
+        restored += outcome == WarmupOutcome::Restored;
+    }
+    sweep::snapshotCacheClearForTest();
+    EXPECT_GT(restored, 0) << "no hit was served through the steps";
+}
+
+TEST(ScenarioRunSteps, MatchFinishFaultsOff)
+{
+    expectStepsMatchFinish(/*faults=*/false);
+}
+
+TEST(ScenarioRunSteps, MatchFinishFaultsOn)
+{
+    expectStepsMatchFinish(/*faults=*/true);
+}
+
+/**
+ * The memo guard: with a CLI scenario's clean snapshot cached, a run
+ * whose system was touched through system() — DSP faults armed, or an
+ * event scheduled — must execute its own warm-up, publish nothing
+ * under the clean key, and equal the Reference run with the same
+ * touch.
+ */
+TEST(ScenarioRunSteps, TouchedSystemNeverRestoresOrCaptures)
+{
+    Scenario s;
+    s.mode = app::HarnessMode::CliBenchmark;
+    s.dtype = tensor::DType::UInt8;
+    s.framework = app::FrameworkKind::TfliteHexagon;
+    s.runs = 4;
+    s.seed = 7;
+    ASSERT_EQ(classifySnapshotUse(s), SnapshotUse::Eligible);
+
+    faults::FaultConfig dsp_faults;
+    dsp_faults.enabled = true;
+    dsp_faults.transientFailureProb = 0.3;
+    dsp_faults.hangProb = 0.2;
+    const std::function<void(soc::SocSystem &)> touches[] = {
+        [&](soc::SocSystem &sys) { sys.armFaults(dsp_faults); },
+        [](soc::SocSystem &sys) {
+            sys.simulator().scheduleAt(0, [&sys] {
+                const sim::TimeNs now = sys.simulator().now();
+                sys.tracer().recordInterval("probe", "poke", now,
+                                            now + 1000);
+            });
+        },
+    };
+
+    for (const auto &touch : touches) {
+        sweep::snapshotCacheClearForTest();
+        WarmupOutcome outcome{};
+        ASSERT_EQ(resultBytes(runSteps(s, sim::EngineMode::Fast, &outcome)),
+                  resultBytes(runScenario(s, sim::EngineMode::Reference)));
+        ASSERT_EQ(outcome, WarmupOutcome::Executed);
+        ASSERT_EQ(sweep::snapshotCacheStatsNow().stores, 1u);
+
+        const std::string reference = resultBytes(
+            runSteps(s, sim::EngineMode::Reference, &outcome, touch));
+        EXPECT_EQ(resultBytes(runSteps(s, sim::EngineMode::Fast, &outcome,
+                                       touch)),
+                  reference);
+        EXPECT_EQ(outcome, WarmupOutcome::Executed);
+        EXPECT_NE(reference,
+                  resultBytes(runScenario(s, sim::EngineMode::Reference)))
+            << "the touch must be observable";
+        EXPECT_EQ(sweep::snapshotCacheStatsNow().stores, 1u)
+            << "a touched run captured under the clean key";
+    }
+    sweep::snapshotCacheClearForTest();
+}
+
+TEST(ScenarioRunSteps, OutOfOrderStepThrows)
+{
+    Scenario s;
+    ScenarioRun run(s, sim::EngineMode::Reference);
+    EXPECT_THROW(run.warmUp(), std::logic_error);
+    EXPECT_THROW(run.application(), std::logic_error);
+    run.buildApplication();
+    EXPECT_THROW(run.buildApplication(), std::logic_error);
+    EXPECT_EQ(run.finish(ResultRequest::ReportOnly).report.runs(), 10u);
+    EXPECT_THROW(run.collect(ResultRequest::Full), std::logic_error);
 }
 
 // --- Memoization-key fuzz: divergent prefixes never share ------------

@@ -94,6 +94,7 @@
  *                                     campaign's spec
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -702,6 +703,18 @@ main(int argc, char **argv)
     }
     if (runs <= 0 || threads <= 0)
         usage(argv[0]);
+    const auto platforms = soc::allPlatforms();
+    const auto platform = std::find_if(
+        platforms.begin(), platforms.end(),
+        [&](const soc::SocConfig &p) { return p.socName == soc_name; });
+    if (platform == platforms.end()) {
+        std::fprintf(stderr, "unknown platform '%s'; valid --soc names:",
+                     soc_name.c_str());
+        for (const auto &p : platforms)
+            std::fprintf(stderr, " \"%s\"", p.socName.c_str());
+        std::fprintf(stderr, "\n");
+        return 2;
+    }
 
     app::PipelineConfig cfg;
     cfg.model = info;
@@ -739,8 +752,10 @@ main(int argc, char **argv)
     else
         usage(argv[0]);
 
-    // --faults SPEC, plan, trace. aitax-lint: allow(hand-built-system)
-    soc::SocSystem sys(soc::platformByName(soc_name), seed);
+    // The runner takes neither a full --faults spec nor a run that
+    // fails scenarioValid (the delegate-fallback demo, e.g. hexagon
+    // fp32). aitax-lint: allow(hand-built-system)
+    soc::SocSystem sys(*platform, seed);
     if (!faults_spec.empty()) {
         faults::FaultConfig fault_cfg;
         std::string error;
